@@ -26,36 +26,6 @@ namespace gus {
 
 namespace {
 
-/// \brief Converts every base relation `plan` scans into columnar form
-/// ahead of concurrent shard workers.
-///
-/// ColumnarCatalog's caches are lazily written on first use and are not
-/// thread-safe; pre-warming them serially lets the in-process workers
-/// afterwards share the catalog read-only. Callers whose workers also
-/// fingerprint the catalog (the estimator scatter) additionally warm the
-/// fingerprint cache via PlanCatalogFingerprint — deliberately not done
-/// here, because it costs a full pass over the base data.
-Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog) {
-  std::function<Status(const PlanPtr&)> walk =
-      [&](const PlanPtr& node) -> Status {
-    if (node->op() == PlanOp::kScan) {
-      // Segment-backed relations stay on disk: their scans stream through
-      // the pinned cache (which is thread-safe), so materializing them
-      // here would defeat out-of-core execution. Only in-memory relations
-      // need their lazy caches pre-written.
-      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
-                           catalog->Stored(node->relation()));
-      if (stored != nullptr) return Status::OK();
-      return catalog->Get(node->relation()).status();
-    }
-    for (int c = 0; c < node->num_children(); ++c) {
-      GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));
-    }
-    return Status::OK();
-  };
-  return walk(plan);
-}
-
 /// The shared parse/validate step behind every (complete or partial)
 /// gather: bundle bytes -> sections, with META recorded, the RNGS seed
 /// fingerprint enforced, and a well-formed SMPL section appended.
@@ -107,10 +77,10 @@ std::vector<std::thread>* Orphans() {
 /// On timeout the runner thread is abandoned into the orphan registry —
 /// it only computes (never touches the transport), so a late finisher's
 /// work is simply discarded; re-dispatch re-derives the identical bundle
-/// from the same seed.
-Result<std::string> RunWithDeadline(int64_t deadline_ms, bool* deadline_hit,
+/// from the same seed. A timeout is DeadlineExceeded, which the attempt
+/// loop counts as a deadline hit.
+Result<std::string> RunWithDeadline(int64_t deadline_ms,
                                     std::function<Result<std::string>()> fn) {
-  *deadline_hit = false;
   if (deadline_ms <= 0) return fn();
   struct Slot {
     std::mutex mu;
@@ -135,7 +105,6 @@ Result<std::string> RunWithDeadline(int64_t deadline_ms, bool* deadline_hit,
     runner.join();
     return std::move(slot->result);
   }
-  *deadline_hit = true;
   {
     std::lock_guard<std::mutex> guard(*OrphanMutex());
     Orphans()->push_back(std::move(runner));
@@ -198,26 +167,25 @@ Result<FaultTolerantResult> FoldShardBundles(
     states.push_back(std::move(est));
   }
   GUS_RETURN_NOT_OK(ValidateShardSamplerStates(sampler_payloads));
-  // Shard-ordered merge of the delivered states; the degraded path below
-  // folds the per-shard states directly instead (it needs the
-  // within-shard / cross-shard pair split the merge would erase).
-  const auto merge_all = [&states]() -> Result<StreamingSboxEstimator> {
+  // Shard-ordered merge of the delivered states, finished into `out`; the
+  // degraded path below folds the per-shard states directly instead (it
+  // needs the within-shard / cross-shard pair split the merge would erase).
+  const auto finish_merged =
+      [&](FaultTolerantResult out) -> Result<FaultTolerantResult> {
     StreamingSboxEstimator merged = std::move(states[0]);
     for (size_t i = 1; i < states.size(); ++i) {
       GUS_RETURN_NOT_OK(merged.Merge(std::move(states[i])));
     }
-    return merged;
-  };
-
-  FaultTolerantResult out;
-  if (static_cast<int>(shard_ids.size()) == num_shards) {
-    GUS_RETURN_NOT_OK(ValidateShardMetas(metas));
-    GUS_ASSIGN_OR_RETURN(StreamingSboxEstimator merged, merge_all());
     // Captured *before* Finish: round-trip bit-exactness means a later
     // DeserializeState + Finish reproduces out.report to the last bit.
     if (capture_merged_state) out.merged_sbox_state = merged.SerializeState();
     GUS_ASSIGN_OR_RETURN(out.report, merged.Finish());
     return out;
+  };
+
+  if (static_cast<int>(shard_ids.size()) == num_shards) {
+    GUS_RETURN_NOT_OK(ValidateShardMetas(metas));
+    return finish_merged(FaultTolerantResult{});
   }
 
   GUS_RETURN_NOT_OK(ValidateSurvivingShardMetas(metas));
@@ -258,6 +226,7 @@ Result<FaultTolerantResult> FoldShardBundles(
     }
   }
 
+  FaultTolerantResult out;
   out.degradation.surviving_shards = static_cast<int>(shard_ids.size());
   out.degradation.total_shards = num_shards;
   out.degradation.surviving_units = surviving_units;
@@ -280,10 +249,7 @@ Result<FaultTolerantResult> FoldShardBundles(
     // the complete estimate stands un-reweighted. (Tiling is implied:
     // survivors cover their canonical ranges and all bearing ranges
     // survived.)
-    GUS_ASSIGN_OR_RETURN(StreamingSboxEstimator merged, merge_all());
-    if (capture_merged_state) out.merged_sbox_state = merged.SerializeState();
-    GUS_ASSIGN_OR_RETURN(out.report, merged.Finish());
-    return out;
+    return finish_merged(std::move(out));
   }
   if (surviving_bearing == 0) {
     return Status::Unavailable(
@@ -325,16 +291,6 @@ Result<FaultTolerantResult> FoldShardBundles(
 
 }  // namespace
 
-Result<FaultTolerantResult> FoldGatheredShardBundles(
-    const std::vector<int>& shard_ids,
-    const std::vector<const std::string*>& bundles, int num_shards,
-    const std::string& pivot_relation,
-    const std::vector<std::pair<int, std::string>>& failed,
-    bool capture_merged_state) {
-  return FoldShardBundles(shard_ids, bundles, num_shards, pivot_relation,
-                          failed, capture_merged_state);
-}
-
 bool IsRetryableShardFailure(const Status& st) {
   switch (st.code()) {
     case StatusCode::kUnavailable:
@@ -344,6 +300,82 @@ bool IsRetryableShardFailure(const Status& st) {
     default:
       return false;
   }
+}
+
+Result<std::string> RunShardAttempts(const ShardRetryPolicy& retry,
+                                     int shard, const ShardAttempt& attempt,
+                                     ShardAttemptCounters* counters) {
+  Result<std::string> result = Status::Internal("no attempt ran");
+  for (int n = 1; n <= retry.max_attempts; ++n) {
+    if (n > 1) {
+      counters->retries.fetch_add(1, std::memory_order_relaxed);
+      SleepBackoff(retry, shard, n);
+    }
+    counters->attempts.fetch_add(1, std::memory_order_relaxed);
+    result = attempt(shard);
+    if (result.ok()) break;
+    const Status st = result.status();
+    if (st.code() == StatusCode::kDeadlineExceeded) {
+      counters->deadline_hits.fetch_add(1, std::memory_order_relaxed);
+    }
+    // Fatal failures (divergent state) stop the loop: retrying identical
+    // divergent inputs reproduces the identical mismatch.
+    if (!IsRetryableShardFailure(st)) break;
+  }
+  return result;
+}
+
+Result<FaultTolerantResult> FoldShardOutcomes(
+    const std::vector<Result<std::string>>& outcomes,
+    const ShardAttemptCounters& counters, bool allow_partial,
+    const std::string& pivot_relation, ExecStats* stats,
+    bool capture_merged_state) {
+  const int num_shards = static_cast<int>(outcomes.size());
+  std::vector<int> shard_ids;
+  std::vector<const std::string*> bundles;
+  std::vector<std::pair<int, std::string>> failed;
+  int fatal_shard = -1;
+  for (int k = 0; k < num_shards; ++k) {
+    const Result<std::string>& outcome = outcomes[static_cast<size_t>(k)];
+    if (outcome.ok()) {
+      shard_ids.push_back(k);
+      bundles.push_back(&outcome.ValueOrDie());
+      continue;
+    }
+    if (fatal_shard < 0 && !IsRetryableShardFailure(outcome.status())) {
+      fatal_shard = k;
+    }
+    failed.emplace_back(k, outcome.status().ToString());
+  }
+  if (stats != nullptr) {
+    stats->shard_attempts = counters.attempts.load(std::memory_order_relaxed);
+    stats->shard_retries = counters.retries.load(std::memory_order_relaxed);
+    stats->shard_deadline_hits =
+        counters.deadline_hits.load(std::memory_order_relaxed);
+    stats->shards_lost = static_cast<int64_t>(failed.size());
+  }
+  // Never degrade around divergent state, whatever allow_partial says: the
+  // survivors' fold would be a plausible answer hiding a configuration bug.
+  if (fatal_shard >= 0) {
+    return outcomes[static_cast<size_t>(fatal_shard)].status();
+  }
+  if (!failed.empty() && !allow_partial) {
+    const auto& [shard, message] = failed.front();
+    return Status::Unavailable(
+        "shard " + std::to_string(shard) +
+        " exhausted its retry budget and allow_partial is not set: " +
+        message);
+  }
+  GUS_ASSIGN_OR_RETURN(
+      FaultTolerantResult result,
+      FoldShardBundles(shard_ids, bundles, num_shards, pivot_relation, failed,
+                       capture_merged_state && failed.empty()));
+  if (stats != nullptr) {
+    stats->degraded = result.degraded;
+    stats->effective_coverage =
+        result.degraded ? result.degradation.effective_coverage : 1.0;
+  }
+  return result;
 }
 
 void JoinAbandonedShardAttempts() {
@@ -378,187 +410,116 @@ Status ValidateShardSamplerStates(
   return Status::OK();
 }
 
-Result<SboxReport> GatherSboxEstimate(ShardTransport* transport,
-                                      int num_shards) {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  std::vector<std::string> bundles(static_cast<size_t>(num_shards));
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  shard_ids.reserve(num_shards);
-  views.reserve(num_shards);
-  for (int k = 0; k < num_shards; ++k) {
-    GUS_ASSIGN_OR_RETURN(bundles[k], transport->Receive(k));
-    shard_ids.push_back(k);
-    views.push_back(&bundles[k]);
-  }
-  GUS_ASSIGN_OR_RETURN(
-      FaultTolerantResult result,
-      FoldShardBundles(shard_ids, views, num_shards, "", {}));
-  return result.report;
-}
-
 Result<FaultTolerantResult> GatherSboxEstimatePartial(
     ShardTransport* transport, int num_shards,
     const std::string& pivot_relation, bool allow_partial) {
   if (num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  std::vector<std::string> bundles(static_cast<size_t>(num_shards));
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  std::vector<std::pair<int, std::string>> failed;
+  std::vector<Result<std::string>> outcomes;
+  outcomes.reserve(static_cast<size_t>(num_shards));
   for (int k = 0; k < num_shards; ++k) {
-    Result<std::string> received = transport->Receive(k);
-    if (received.ok()) {
-      bundles[k] = std::move(received).ValueOrDie();
-      shard_ids.push_back(k);
-      views.push_back(&bundles[k]);
-      continue;
-    }
-    const Status st = received.status();
-    if (!allow_partial || !IsRetryableShardFailure(st)) return st;
-    failed.emplace_back(k, st.ToString());
+    outcomes.push_back(transport->Receive(k));
+    // Without acknowledgement, a missing bundle fails the gather as itself.
+    if (!allow_partial) GUS_RETURN_NOT_OK(outcomes.back().status());
   }
-  return FoldShardBundles(shard_ids, views, num_shards, pivot_relation,
-                          failed);
+  return FoldShardOutcomes(outcomes, ShardAttemptCounters{}, allow_partial,
+                           pivot_relation, /*stats=*/nullptr);
 }
+
+Result<SboxReport> GatherSboxEstimate(ShardTransport* transport,
+                                      int num_shards) {
+  GUS_ASSIGN_OR_RETURN(
+      FaultTolerantResult result,
+      GatherSboxEstimatePartial(transport, num_shards, /*pivot_relation=*/"",
+                                /*allow_partial=*/false));
+  return result.report;
+}
+
+namespace {
+
+/// \brief The in-process supervisor behind both one-call scatters: every
+/// shard runs the attempt loop on the shared pool, and the outcomes go
+/// through the fold policy.
+///
+/// One attempt runs the worker under `exec.retry.deadline_ms`, sends the
+/// bundle, and reads it back. Attempts abandoned at their deadline keep
+/// `columnar` alive through shared ownership (the base Catalog itself must
+/// outlive them; see JoinAbandonedShardAttempts).
+Result<FaultTolerantResult> ScatterInProcess(
+    const PlanPtr& plan, std::shared_ptr<ColumnarCatalog> columnar,
+    uint64_t seed, ExecMode mode, const ExecOptions& exec, int num_shards,
+    const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
+    ShardTransport* transport) {
+  if (num_shards < 1) {
+    return Status::InvalidArgument("num_shards must be >= 1");
+  }
+  LocalTransport local;
+  if (transport == nullptr) transport = &local;
+  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, columnar.get()));
+  GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
+                       PlanCatalogFingerprint(plan, columnar.get()));
+  // Only a partial fold reads the pivot relation (it decides which row
+  // pairs one lost shard takes together).
+  std::string pivot_relation;
+  if (exec.allow_partial) {
+    GUS_ASSIGN_OR_RETURN(ShardPlan sp,
+                         PlanShards(plan, columnar.get(), mode,
+                                    ShardedExecOptions(exec), num_shards));
+    if (sp.split.partitionable) pivot_relation = sp.split.pivot_relation;
+  }
+
+  // Workers must not share the caller's ExecStats (concurrent shards — and
+  // abandoned attempts possibly outliving this call — would race on it).
+  ExecOptions worker_exec = exec;
+  worker_exec.stats = nullptr;
+  const ShardAttempt attempt = [&](int k) -> Result<std::string> {
+    GUS_ASSIGN_OR_RETURN(
+        std::string bundle,
+        RunWithDeadline(exec.retry.deadline_ms,
+                        [plan, columnar, seed, mode, worker_exec, k,
+                         num_shards, f_expr, gus, options,
+                         expected_fingerprint] {
+                          return RunShardSbox(plan, columnar.get(), seed, mode,
+                                              worker_exec, k, num_shards,
+                                              f_expr, gus, options,
+                                              expected_fingerprint);
+                        }));
+    GUS_RETURN_NOT_OK(transport->Send(k, std::move(bundle)));
+    // Verification read-back: wire damage (drop/corrupt/truncate) surfaces
+    // here, while the attempt loop can still re-dispatch the shard.
+    return transport->Receive(k);
+  };
+
+  std::vector<Result<std::string>> outcomes(
+      static_cast<size_t>(num_shards),
+      Result<std::string>(Status::Internal("shard was never attempted")));
+  ShardAttemptCounters counters;
+  {
+    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
+    pool->ParallelFor(num_shards, [&](int64_t k) {
+      outcomes[static_cast<size_t>(k)] = RunShardAttempts(
+          exec.retry, static_cast<int>(k), attempt, &counters);
+    });
+  }
+  return FoldShardOutcomes(outcomes, counters, exec.allow_partial,
+                           pivot_relation, exec.stats);
+}
+
+}  // namespace
 
 Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(
     const PlanPtr& plan, const Catalog& catalog, uint64_t seed, ExecMode mode,
     const ExecOptions& exec, int num_shards, const ExprPtr& f_expr,
     const GusParams& gus, const SboxOptions& options,
     ShardTransport* transport) {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
   GUS_RETURN_NOT_OK(exec.Validate());
-  LocalTransport local;
-  if (transport == nullptr) transport = &local;
-  // Shared by attempt threads, including ones abandoned at a deadline —
-  // shared ownership keeps the columnar caches alive for late finishers
-  // (the base Catalog itself must outlive them; see
-  // JoinAbandonedShardAttempts).
-  auto columnar = std::make_shared<ColumnarCatalog>(&catalog);
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, columnar.get()));
-  GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
-                       PlanCatalogFingerprint(plan, columnar.get()));
-  GUS_ASSIGN_OR_RETURN(ShardPlan sp,
-                       PlanShards(plan, columnar.get(), mode,
-                                  ShardedExecOptions(exec), num_shards));
-  const std::string pivot_relation =
-      sp.split.partitionable ? sp.split.pivot_relation : std::string();
-
-  // Workers must not share the caller's ExecStats (concurrent shards — and
-  // abandoned attempts possibly outliving this call — would race on it).
-  ExecOptions worker_exec = exec;
-  worker_exec.stats = nullptr;
-
-  struct ShardOutcome {
-    bool ok = false;
-    std::string bundle;
-    Status final_status = Status::Internal("shard supervisor did not run");
-  };
-  std::vector<ShardOutcome> outcomes(static_cast<size_t>(num_shards));
-  std::atomic<int64_t> attempts{0};
-  std::atomic<int64_t> retries{0};
-  std::atomic<int64_t> deadline_hits{0};
-
-  {
-    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
-    pool->ParallelFor(num_shards, [&](int64_t k) {
-      ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
-      Status last = Status::Internal("no attempt ran");
-      for (int attempt = 1; attempt <= exec.retry.max_attempts; ++attempt) {
-        if (attempt > 1) {
-          retries.fetch_add(1, std::memory_order_relaxed);
-          SleepBackoff(exec.retry, k, attempt);
-        }
-        attempts.fetch_add(1, std::memory_order_relaxed);
-        bool deadline_hit = false;
-        Result<std::string> produced = RunWithDeadline(
-            exec.retry.deadline_ms, &deadline_hit,
-            [plan, columnar, seed, mode, worker_exec, k, num_shards, f_expr,
-             gus, options, expected_fingerprint] {
-              return RunShardSbox(plan, columnar.get(), seed, mode,
-                                  worker_exec, static_cast<int>(k),
-                                  num_shards, f_expr, gus, options,
-                                  expected_fingerprint);
-            });
-        if (deadline_hit) {
-          deadline_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        Status st;
-        if (produced.ok()) {
-          st = transport->Send(static_cast<int>(k),
-                               std::move(produced).ValueOrDie());
-          if (st.ok()) {
-            // Verification read-back: wire damage (drop/corrupt/truncate)
-            // surfaces here, while this supervisor can still re-dispatch.
-            Result<std::string> verified =
-                transport->Receive(static_cast<int>(k));
-            if (verified.ok()) {
-              outcome.ok = true;
-              outcome.bundle = std::move(verified).ValueOrDie();
-              outcome.final_status = Status::OK();
-              return;
-            }
-            st = verified.status();
-          }
-        } else {
-          st = produced.status();
-        }
-        last = st;
-        // Fatal failures (divergent state) stop the attempt loop: retrying
-        // identical divergent inputs reproduces the identical mismatch.
-        if (!IsRetryableShardFailure(st)) break;
-      }
-      outcome.final_status = last;
-    });
-  }
-
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  std::vector<std::pair<int, std::string>> failed;
-  for (int k = 0; k < num_shards; ++k) {
-    const ShardOutcome& outcome = outcomes[static_cast<size_t>(k)];
-    if (outcome.ok) {
-      shard_ids.push_back(k);
-      views.push_back(&outcome.bundle);
-    } else {
-      failed.emplace_back(k, outcome.final_status.ToString());
-    }
-  }
-
-  if (!failed.empty() && !exec.allow_partial) {
-    const auto& [shard, message] = failed.front();
-    return Status::Unavailable(
-        "shard " + std::to_string(shard) + " failed after " +
-        std::to_string(exec.retry.max_attempts) +
-        " attempt(s) and ExecOptions::allow_partial is not set: " + message);
-  }
-
-  Result<FaultTolerantResult> result = FoldShardBundles(
-      shard_ids, views, num_shards, pivot_relation, failed);
-
-  if (exec.stats != nullptr) {
-    exec.stats->Reset();
-    exec.stats->shard_attempts = attempts.load(std::memory_order_relaxed);
-    exec.stats->shard_retries = retries.load(std::memory_order_relaxed);
-    exec.stats->shard_deadline_hits =
-        deadline_hits.load(std::memory_order_relaxed);
-    exec.stats->shards_lost = static_cast<int64_t>(failed.size());
-    if (result.ok()) {
-      exec.stats->degraded = result.ValueOrDie().degraded;
-      exec.stats->effective_coverage =
-          result.ValueOrDie().degraded
-              ? result.ValueOrDie().degradation.effective_coverage
-              : 1.0;
-    }
-    if (ProfileEnvEnabled()) {
-      std::fputs(exec.stats->ToString("sharded-ft").c_str(), stderr);
-    }
+  if (exec.stats != nullptr) exec.stats->Reset();
+  Result<FaultTolerantResult> result = ScatterInProcess(
+      plan, std::make_shared<ColumnarCatalog>(&catalog), seed, mode, exec,
+      num_shards, f_expr, gus, options, transport);
+  if (exec.stats != nullptr && ProfileEnvEnabled()) {
+    std::fputs(exec.stats->ToString("sharded-ft").c_str(), stderr);
   }
   return result;
 }
@@ -568,37 +529,20 @@ Result<SboxReport> ShardedSboxEstimateOverCatalog(
     ExecMode mode, const ExecOptions& exec, int num_shards,
     const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
     ShardTransport* transport) {
-  if (num_shards < 1) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
-  LocalTransport local;
-  if (transport == nullptr) transport = &local;
-  ColumnarCatalog& columnar = *columnar_catalog;
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, &columnar));
-  GUS_ASSIGN_OR_RETURN(const uint64_t expected_fingerprint,
-                       PlanCatalogFingerprint(plan, &columnar));
-  // Scatter: the workers are shared-nothing (each re-runs the serial
-  // prepare phase from its own Rng(seed)), so they run concurrently;
-  // bundles land on the transport in shard order afterwards, keeping the
-  // gather's fold order deterministic.
-  std::vector<Result<std::string>> bundles(
-      static_cast<size_t>(num_shards),
-      Result<std::string>(Status::Internal("shard worker did not run")));
-  {
-    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
-    pool->ParallelFor(num_shards, [&](int64_t k) {
-      bundles[static_cast<size_t>(k)] =
-          RunShardSbox(plan, &columnar, seed, mode, exec,
-                       static_cast<int>(k), num_shards, f_expr, gus, options,
-                       expected_fingerprint);
-    });
-  }
-  for (int k = 0; k < num_shards; ++k) {
-    GUS_RETURN_NOT_OK(bundles[k].status());
-    GUS_RETURN_NOT_OK(
-        transport->Send(k, std::move(bundles[k]).ValueOrDie()));
-  }
-  return GatherSboxEstimate(transport, num_shards);
+  // One attempt, no deadline, no partial fold. With no deadline nothing
+  // outlives this call, so the caller's catalog is borrowed, not owned.
+  ExecOptions once = exec;
+  once.retry = ShardRetryPolicy{};
+  once.retry.max_attempts = 1;
+  once.allow_partial = false;
+  once.stats = nullptr;
+  GUS_ASSIGN_OR_RETURN(
+      FaultTolerantResult result,
+      ScatterInProcess(
+          plan, std::shared_ptr<ColumnarCatalog>(std::shared_ptr<void>(),
+                                                 columnar_catalog),
+          seed, mode, once, num_shards, f_expr, gus, options, transport));
+  return result.report;
 }
 
 Result<SboxReport> ShardedSboxEstimate(const PlanPtr& plan,

@@ -8,6 +8,15 @@
 // ordered fold is what makes the result bit-identical to a single-process
 // run: merge order is part of the floating-point result's identity.
 //
+// Every scatter runs under one shard supervisor, defined here: the
+// per-shard attempt loop (RunShardAttempts: classify, back off, re-attempt,
+// count) and the outcome policy (FoldShardOutcomes: propagate a fatal
+// failure, refuse or degrade over lost shards, fold, fill ExecStats). A
+// caller supplies only the shard attempt and the scheduling — the
+// in-process entry points below run RunShardSbox on the shared pool, and
+// the serving layer's SessionCoordinator (serve/session.h) runs one
+// DaemonChannel::Call per attempt on one thread per shard.
+//
 // ShardedSboxEstimate is the one-call form (scatter in-process workers,
 // gather, finish); GatherSboxEstimate is the half the coordinator of a
 // multi-process deployment runs after external workers populated the
@@ -16,7 +25,9 @@
 #ifndef GUS_DIST_COORDINATOR_H_
 #define GUS_DIST_COORDINATOR_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -73,8 +84,12 @@ Result<SboxReport> GatherSboxEstimate(ShardTransport* transport,
                                       int num_shards);
 
 /// \brief One-call scatter/gather: runs every shard worker in-process
-/// (sequentially, each from its own Rng(seed)) through `transport` —
+/// (concurrently, each from its own Rng(seed)) through `transport` —
 /// defaulting to a process-local mailbox when null — then gathers.
+///
+/// The shard supervisor with one attempt per shard, no deadline, and no
+/// partial fold: a fatal failure propagates with its own code, any other
+/// fails the estimate as Unavailable.
 ///
 /// For a fixed (plan, catalog, seed, morsel_rows) the report is
 /// bit-identical across num_shards AND to EstimatePlanParallel at the
@@ -108,6 +123,31 @@ Result<SboxReport> ShardedSboxEstimateOverCatalog(
 /// only hides a configuration bug behind latency.
 bool IsRetryableShardFailure(const Status& st);
 
+/// \brief One shard attempt: shard `shard`'s verified bundle bytes, or
+/// the failure the attempt loop classifies.
+using ShardAttempt = std::function<Result<std::string>(int shard)>;
+
+/// \brief Retry counters of one scatter, shared by the attempt loops of
+/// all its shards (which run concurrently).
+struct ShardAttemptCounters {
+  std::atomic<int64_t> attempts{0};
+  std::atomic<int64_t> retries{0};
+  /// Attempts that failed DeadlineExceeded.
+  std::atomic<int64_t> deadline_hits{0};
+};
+
+/// \brief The one per-shard attempt loop.
+///
+/// Runs `attempt(shard)` up to `retry.max_attempts` times (the policy must
+/// be valid: ShardRetryPolicy::Validate). A success or a fatal failure
+/// (IsRetryableShardFailure false) ends the loop; a retryable failure
+/// sleeps the deterministic backoff — exponential, plus jitter forked on
+/// (shard, attempt), so a fixed fault plan replays the same schedule — and
+/// re-attempts. Returns the last attempt's result.
+Result<std::string> RunShardAttempts(const ShardRetryPolicy& retry,
+                                     int shard, const ShardAttempt& attempt,
+                                     ShardAttemptCounters* counters);
+
 /// \brief Outcome of a fault-tolerant estimate: the report, plus — iff the
 /// gather had to degrade — the acknowledgement payload describing what
 /// was lost.
@@ -122,7 +162,7 @@ struct FaultTolerantResult {
   /// makes a cached partial result self-describing.
   SurvivingRangesInfo live;
   /// \brief Filled only when the fold was asked to capture it (see
-  /// FoldGatheredShardBundles) AND the gather was complete: the merged
+  /// FoldShardOutcomes) AND the gather was complete: the merged
   /// (pre-Finish) StreamingSboxEstimator state.
   ///
   /// Round-trip bit-exactness (est/streaming.h) makes Finish over the
@@ -132,56 +172,51 @@ struct FaultTolerantResult {
   std::string merged_sbox_state;
 };
 
-/// \brief GatherSboxEstimate that can degrade: shards whose bundles are
-/// missing or retryably damaged (Unavailable / KeyError) are — when
-/// `allow_partial` is set — excluded from the fold, and the survivors
-/// re-weighted through the shard-survival GUS into an unbiased partial
-/// estimate with an honestly wider CI.
+/// \brief GatherSboxEstimate that can degrade: with `allow_partial`, the
+/// received bundles go through FoldShardOutcomes, so missing or retryably
+/// damaged ones are folded around (unbiased, honestly wider CI) and fatal
+/// ones still propagate. Without it, the first failed Receive fails the
+/// gather with its own code, exactly like GatherSboxEstimate.
 ///
 /// `pivot_relation` is the plan's partitioned scan (MorselSplit::
 /// pivot_relation; "" for non-partitionable plans) — it determines which
-/// lineage agreement sets pin a pair of rows to one shard. With
-/// allow_partial false this behaves exactly like GatherSboxEstimate.
-/// Fatal (divergent-state) bundle failures propagate regardless. At least
-/// one shard must survive, and a valid CI needs >= 2 survivors on a
-/// partitioned plan (cross-shard co-survival is impossible from one
-/// shard, so a CI would be fabrication — the gather says so instead).
+/// lineage agreement sets pin a pair of rows to one shard.
 Result<FaultTolerantResult> GatherSboxEstimatePartial(
     ShardTransport* transport, int num_shards,
     const std::string& pivot_relation, bool allow_partial);
 
-/// \brief The one fold implementation behind every SBox gather, exposed
-/// for gatherers that receive bundles by other means (the serving
-/// layer's session coordinator pulls them over sockets).
+/// \brief The one outcome-to-fold policy: `outcomes[k]` is shard k's
+/// result from RunShardAttempts.
 ///
-/// `shard_ids`/`bundles` are parallel and strictly ascending; `failed`
-/// carries (shard, final error) for shards that never delivered — with a
-/// complete set it behaves exactly like GatherSboxEstimate's fold, with
-/// a subset it degrades through est/partial_gather (or fails when a CI
-/// would be fabricated). With `capture_merged_state`, a complete fold
-/// also serializes the merged pre-Finish estimator state into
-/// FaultTolerantResult::merged_sbox_state (the view-cache payload).
-/// Using this single implementation is what makes a served gather
-/// bit-identical to the one-shot kSharded gather by construction.
-Result<FaultTolerantResult> FoldGatheredShardBundles(
-    const std::vector<int>& shard_ids,
-    const std::vector<const std::string*>& bundles, int num_shards,
-    const std::string& pivot_relation,
-    const std::vector<std::pair<int, std::string>>& failed,
+/// A fatal failure propagates with its own code, regardless of
+/// `allow_partial` — degrading around divergent state would hide a
+/// configuration bug. Shards that exhausted their retry budget fail the
+/// query as Unavailable (naming allow_partial) unless `allow_partial` is
+/// set; then the survivors fold through est/partial_gather (or the fold
+/// fails when a CI would be fabricated). A complete set folds exactly like
+/// GatherSboxEstimate. `stats`, when set, receives the counters, the lost
+/// shards, and the degradation (it is not reset). With
+/// `capture_merged_state`, a complete fold also serializes the merged
+/// pre-Finish estimator state into FaultTolerantResult::merged_sbox_state
+/// (the view-cache payload). Every supervisor folding through this one
+/// policy is what makes a served gather bit-identical to the one-shot
+/// kSharded gather by construction.
+Result<FaultTolerantResult> FoldShardOutcomes(
+    const std::vector<Result<std::string>>& outcomes,
+    const ShardAttemptCounters& counters, bool allow_partial,
+    const std::string& pivot_relation, ExecStats* stats,
     bool capture_merged_state = false);
 
 /// \brief The fault-tolerant one-call scatter/gather.
 ///
-/// Dispatches every shard's unit range to an in-process worker under
-/// `exec.retry`: per-attempt deadlines (attempts past their deadline are
-/// abandoned and the shard re-dispatched — the range re-executes
-/// bit-reproducibly from the same seed), bounded retries with
-/// deterministic exponential backoff + jitter, and verification read-back
-/// through `transport` (defaulting to a process-local mailbox) so wire
-/// damage is caught while the shard can still be re-sent. When a shard
-/// exhausts its budget: with `exec.allow_partial` the survivors fold
-/// through est/partial_gather (DegradedReport attached); without it the
-/// shard's final error propagates. `exec.stats`, when set, receives the
+/// The shard supervisor under `exec.retry` over in-process workers: each
+/// attempt runs the shard's unit range under the per-attempt deadline
+/// (attempts past it are abandoned and the shard re-dispatched — the range
+/// re-executes bit-reproducibly from the same seed) and verifies the
+/// bundle by reading it back through `transport` (defaulting to a
+/// process-local mailbox), so wire damage is caught while the shard can
+/// still be re-sent. Lost shards follow FoldShardOutcomes under
+/// `exec.allow_partial`; `exec.stats`, when set, is reset and receives the
 /// retry/degradation counters. With no faults the report is bit-identical
 /// to ShardedSboxEstimate.
 Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(

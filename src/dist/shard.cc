@@ -95,6 +95,23 @@ Result<uint64_t> PlanCatalogFingerprint(const PlanPtr& plan,
   return h;
 }
 
+Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog) {
+  std::function<Status(const PlanPtr&)> walk =
+      [&](const PlanPtr& node) -> Status {
+    if (node->op() == PlanOp::kScan) {
+      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
+                           catalog->Stored(node->relation()));
+      if (stored != nullptr) return Status::OK();
+      return catalog->Get(node->relation()).status();
+    }
+    for (int c = 0; c < node->num_children(); ++c) {
+      GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));
+    }
+    return Status::OK();
+  };
+  return walk(plan);
+}
+
 std::string SamplerStateToBytes(
     const std::vector<ResolvedPivotSampler>& samplers) {
   WireWriter w;

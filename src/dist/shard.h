@@ -119,6 +119,18 @@ Status ValidateSurvivingShardMetas(const std::vector<ShardMeta>& metas);
 Result<uint64_t> PlanCatalogFingerprint(const PlanPtr& plan,
                                         ColumnarCatalog* catalog);
 
+/// \brief Converts every in-memory base relation `plan` scans into
+/// columnar form ahead of concurrent shard workers.
+///
+/// ColumnarCatalog's conversion caches are written lazily on first use and
+/// are not thread-safe; warming them serially lets concurrent workers (the
+/// in-process scatter's pool, a daemon's request threads) share the
+/// catalog read-only afterwards. Segment-backed relations are skipped:
+/// they stream through the thread-safe pinned cache, and materializing
+/// them would defeat out-of-core execution. The fingerprint cache is left
+/// to PlanCatalogFingerprint, which costs a full pass over the base data.
+Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog);
+
 /// \brief WireTag::kSamplerState payload: the pivot-path fixed-size
 /// samplers a worker resolved during its serial prepare phase
 /// (method, seed, keep-set fingerprint each).

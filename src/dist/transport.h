@@ -50,8 +50,10 @@ Result<std::string> ReadFrame(std::istream* in, bool* clean_eof = nullptr);
 
 /// \brief Moves one opaque payload per shard from workers to the gatherer.
 ///
-/// Implementations must allow Send from concurrent workers; Receive is
-/// coordinator-side and called after the sends it waits for.
+/// Implementations must allow Send and Receive from concurrent workers,
+/// each for its own shard: the in-process supervisor reads every bundle
+/// back right after sending it. Receive is called after the send it
+/// waits for.
 class ShardTransport {
  public:
   virtual ~ShardTransport() = default;

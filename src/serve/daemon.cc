@@ -1,6 +1,5 @@
 #include "serve/daemon.h"
 
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -12,33 +11,6 @@
 #include "util/fault_inject.h"
 
 namespace gus {
-
-namespace {
-
-/// Serial pre-warm of the columnar conversion caches for `plan`'s scans
-/// (the same contract the one-shot coordinator honors: caches are lazily
-/// written and not thread-safe, so they must be hot before concurrent
-/// request threads share the catalog read-only).
-Status WarmScans(const PlanPtr& plan, ColumnarCatalog* catalog) {
-  std::function<Status(const PlanPtr&)> walk =
-      [&](const PlanPtr& node) -> Status {
-    if (node->op() == PlanOp::kScan) {
-      // Segment-backed relations stream through the (thread-safe) pinned
-      // cache; materializing them would defeat out-of-core serving.
-      GUS_ASSIGN_OR_RETURN(const StoredRelation* stored,
-                           catalog->Stored(node->relation()));
-      if (stored != nullptr) return Status::OK();
-      return catalog->Get(node->relation()).status();
-    }
-    for (int c = 0; c < node->num_children(); ++c) {
-      GUS_RETURN_NOT_OK(walk(c == 0 ? node->left() : node->right()));
-    }
-    return Status::OK();
-  };
-  return walk(plan);
-}
-
-}  // namespace
 
 uint64_t ServedQueryFingerprint(const ServedQuery& query) {
   WireWriter w;
@@ -94,7 +66,7 @@ Result<Endpoint> WorkerDaemon::Start(const Endpoint& listen) {
   }
   plan_infos_.clear();
   for (const auto& [name, query] : queries_) {
-    GUS_RETURN_NOT_OK(WarmScans(query.plan, columnar_.get()));
+    GUS_RETURN_NOT_OK(WarmCatalogForPlan(query.plan, columnar_.get()));
     ServePlanInfo info;
     GUS_ASSIGN_OR_RETURN(
         info.catalog_fingerprint,
@@ -166,8 +138,15 @@ void WorkerDaemon::AcceptLoop(SocketListener* listener) {
 void WorkerDaemon::ConnectionLoop(LiveConnection* conn) {
   std::shared_ptr<SocketConnection> socket = conn->socket;
   std::shared_ptr<std::mutex> write_mu = conn->write_mu;
-  const auto reply = [socket, write_mu](const ServeHeader& header,
-                                        std::string_view body) {
+  // Answers `header` with `ok_type` and the answer's bytes, or with kError
+  // and its Status (code intact, so the coordinator can classify it).
+  const auto respond = [socket, write_mu](ServeHeader header, ServeMsg ok_type,
+                                          const Result<std::string>& answer) {
+    const std::string error =
+        answer.ok() ? std::string() : StatusToBytes(answer.status());
+    header.type = answer.ok() ? ok_type : ServeMsg::kError;
+    const std::string_view body =
+        answer.ok() ? std::string_view(answer.ValueOrDie()) : error;
     std::lock_guard<std::mutex> lock(*write_mu);
     // A failed response write means the connection died; the reader loop
     // notices on its next recv, so the error needs no separate handling.
@@ -180,9 +159,7 @@ void WorkerDaemon::ConnectionLoop(LiveConnection* conn) {
     Result<std::pair<ServeHeader, std::string_view>> decoded =
         DecodeServeMessage(frame.ValueOrDie());
     if (!decoded.ok()) {
-      ServeHeader err;
-      err.type = ServeMsg::kError;
-      reply(err, StatusToBytes(decoded.status()));
+      respond(ServeHeader{}, ServeMsg::kError, decoded.status());
       continue;
     }
     const ServeHeader header = decoded.ValueOrDie().first;
@@ -191,48 +168,35 @@ void WorkerDaemon::ConnectionLoop(LiveConnection* conn) {
       case ServeMsg::kExecRequest: {
         // Each request gets its own worker thread: responses leave in
         // completion order, so one connection multiplexes sessions
-        // without head-of-line blocking.
-        conn->workers.emplace_back([this, header, body, reply] {
-          ServeHeader response = header;
-          Result<ExecShardRequest> req = ExecShardRequestFromBytes(body);
-          Result<std::string> bundle =
-              req.ok() ? HandleExec(req.ValueOrDie())
-                       : Result<std::string>(req.status());
-          if (bundle.ok()) {
-            response.type = ServeMsg::kExecResponse;
-            reply(response, bundle.ValueOrDie());
-          } else {
-            response.type = ServeMsg::kError;
-            reply(response, StatusToBytes(bundle.status()));
-          }
+        // without head-of-line blocking. Finished threads are joined
+        // first; a raised flag means the join only waits for the exit.
+        std::erase_if(conn->workers, [](RequestThread& worker) {
+          if (!worker.done->load(std::memory_order_acquire)) return false;
+          worker.thread.join();
+          return true;
         });
+        auto done = std::make_shared<std::atomic<bool>>(false);
+        std::thread thread([this, header, body, respond, done] {
+          Result<ExecShardRequest> req = ExecShardRequestFromBytes(body);
+          respond(header, ServeMsg::kExecResponse,
+                  req.ok() ? HandleExec(req.ValueOrDie())
+                           : Result<std::string>(req.status()));
+          done->store(true, std::memory_order_release);
+        });
+        conn->workers.push_back({std::move(thread), std::move(done)});
         break;
       }
-      case ServeMsg::kPlanInfoRequest: {
-        ServeHeader response = header;
-        Result<std::string> info = HandlePlanInfo(body);
-        if (info.ok()) {
-          response.type = ServeMsg::kPlanInfoResponse;
-          reply(response, info.ValueOrDie());
-        } else {
-          response.type = ServeMsg::kError;
-          reply(response, StatusToBytes(info.status()));
-        }
+      case ServeMsg::kPlanInfoRequest:
+        respond(header, ServeMsg::kPlanInfoResponse, HandlePlanInfo(body));
         break;
-      }
-      default: {
-        ServeHeader response = header;
-        response.type = ServeMsg::kError;
-        reply(response,
-              StatusToBytes(Status::InvalidArgument(
-                  "daemon cannot handle this message type")));
+      default:
+        respond(header, ServeMsg::kError,
+                Status::InvalidArgument(
+                    "daemon cannot handle this message type"));
         break;
-      }
     }
   }
-  for (std::thread& worker : conn->workers) {
-    if (worker.joinable()) worker.join();
-  }
+  for (RequestThread& worker : conn->workers) worker.thread.join();
 }
 
 Result<std::string> WorkerDaemon::HandleExec(const ExecShardRequest& req) {

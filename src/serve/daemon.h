@@ -11,7 +11,9 @@
 // connection's write lock when it finishes — so responses interleave in
 // completion order, and one slow shard never blocks another session's
 // request on the same connection (the session header is what lets the
-// coordinator sort the answers out).
+// coordinator sort the answers out). The reader joins finished request
+// threads before it starts the next, so a persistent connection holds
+// only its in-flight requests' threads.
 //
 // Fault participation (the PR 8 model): every exec request passes the
 // "serve.execute" fault site — GUS_FAULT plans can fail, delay, or kill
@@ -110,12 +112,19 @@ class WorkerDaemon {
   const Endpoint& endpoint() const { return endpoint_; }
 
  private:
+  /// One exec request's thread plus the flag it raises as its last act.
+  struct RequestThread {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+
   struct LiveConnection {
     std::shared_ptr<SocketConnection> socket;
     std::shared_ptr<std::mutex> write_mu;
     std::thread reader;
-    /// In-flight request threads; joined when the connection ends.
-    std::vector<std::thread> workers;
+    /// Request threads not yet joined: finished ones are reaped before the
+    /// next request starts, the rest when the connection ends.
+    std::vector<RequestThread> workers;
   };
 
   void AcceptLoop(SocketListener* listener);

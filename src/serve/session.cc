@@ -1,47 +1,16 @@
 #include "serve/session.h"
 
+#include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <thread>
 #include <utility>
 
 #include "dist/shard.h"
 #include "est/streaming.h"
 #include "est/wire.h"
-#include "util/random.h"
 
 namespace gus {
-
-namespace {
-
-/// The fault-tolerant scatter's deterministic backoff, replicated for the
-/// wire path: same formula, same (shard, attempt)-forked jitter stream,
-/// so a fixed fault plan replays the same retry schedule over sockets as
-/// it does in process.
-void SleepServeBackoff(const ShardRetryPolicy& retry, int64_t shard,
-                       int attempt) {
-  if (retry.backoff_base_ms <= 0) return;
-  const double scaled =
-      static_cast<double>(retry.backoff_base_ms) *
-      std::pow(retry.backoff_mult, static_cast<double>(attempt - 2));
-  int64_t ms = std::min(static_cast<int64_t>(scaled), retry.backoff_max_ms);
-  Rng jitter = Rng::ForkStream(retry.jitter_seed,
-                               static_cast<uint64_t>(shard) * 64 +
-                                   static_cast<uint64_t>(attempt));
-  ms += static_cast<int64_t>(
-      jitter.UniformInt(static_cast<uint64_t>(retry.backoff_base_ms) + 1));
-  if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-uint64_t DoubleBits(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 // ---- DaemonChannel ---------------------------------------------------------
 
@@ -242,28 +211,22 @@ Result<ServePlanInfo> SessionCoordinator::ResolvePlanInfo(
   WireWriter w;
   w.PutString(query_name);
   const std::string body = w.buffer();
-  // Any daemon in the fleet can answer (they serve the same registry);
-  // sweep the fleet, retrying the sweep under the usual backoff.
-  Status last = Status::Unavailable("empty fleet");
-  const int attempts = retry.max_attempts < 1 ? 1 : retry.max_attempts;
-  for (int attempt = 1; attempt <= attempts; ++attempt) {
-    if (attempt > 1) SleepServeBackoff(retry, /*shard=*/0, attempt);
-    for (auto& channel : channels_) {
-      Result<std::string> answer =
-          channel->Call(ServeMsg::kPlanInfoRequest, session_id, body,
-                        ServeMsg::kPlanInfoResponse, retry.deadline_ms);
-      if (answer.ok()) {
-        GUS_ASSIGN_OR_RETURN(ServePlanInfo info,
-                             ServePlanInfoFromBytes(answer.ValueOrDie()));
-        std::lock_guard<std::mutex> lock(info_mu_);
-        plan_infos_[query_name] = info;
-        return info;
-      }
-      last = answer.status();
-      if (!IsRetryableShardFailure(last)) return last;
-    }
-  }
-  return last;
+  // Any daemon in the fleet can answer (they serve the same registry), so
+  // each attempt asks the next one: a dead daemon costs one retry, and an
+  // unknown query is a fatal answer from whichever daemon is asked.
+  size_t next = 0;
+  const ShardAttempt ask = [&](int) {
+    DaemonChannel* channel = channels_[next++ % channels_.size()].get();
+    return channel->Call(ServeMsg::kPlanInfoRequest, session_id, body,
+                         ServeMsg::kPlanInfoResponse, retry.deadline_ms);
+  };
+  ShardAttemptCounters uncounted;
+  GUS_ASSIGN_OR_RETURN(std::string answer,
+                       RunShardAttempts(retry, /*shard=*/0, ask, &uncounted));
+  GUS_ASSIGN_OR_RETURN(ServePlanInfo info, ServePlanInfoFromBytes(answer));
+  std::lock_guard<std::mutex> lock(info_mu_);
+  plan_infos_[query_name] = info;
+  return info;
 }
 
 Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
@@ -274,6 +237,7 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
   if (req.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
+  GUS_RETURN_NOT_OK(req.retry.Validate());
   const uint64_t session_id =
       next_session_.fetch_add(1, std::memory_order_relaxed);
   if (req.stats != nullptr) req.stats->Reset();
@@ -289,12 +253,14 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
 
   GUS_ASSIGN_OR_RETURN(ServePlanInfo info,
                        ResolvePlanInfo(query_name, session_id, req.retry));
+  ServedResult out;
+  out.session_id = session_id;
+  out.admission_scale = scale;
 
   // Both sides of the wire normalize an unset morsel geometry through
   // ShardedExecOptions — the cache key must use the same resolved value
   // the daemons execute at, or 0 and the default would alias two keys.
   ExecOptions geometry;
-  geometry.num_threads = req.num_threads < 1 ? 1 : req.num_threads;
   geometry.morsel_rows = req.morsel_rows;
   const int64_t morsel_rows = ShardedExecOptions(geometry).morsel_rows;
 
@@ -306,7 +272,7 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
     key.catalog_fingerprint = info.catalog_fingerprint;
     key.seed = req.seed;
     key.morsel_rows = morsel_rows;
-    key.scale_bits = DoubleBits(scale);
+    key.scale_bits = std::bit_cast<uint64_t>(scale);
     std::optional<std::string> bundle = cache->Lookup(key);
     if (bundle.has_value()) {
       if (req.stats != nullptr) ++req.stats->cache_hits;
@@ -319,28 +285,18 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
       GUS_ASSIGN_OR_RETURN(
           StreamingSboxEstimator merged,
           StreamingSboxEstimator::DeserializeState(sbox.payload));
-      ServedResult out;
       GUS_ASSIGN_OR_RETURN(out.report, merged.Finish());
       out.cache_hit = true;
-      out.session_id = session_id;
-      out.admission_scale = scale;
       return out;
     }
     if (req.stats != nullptr) ++req.stats->cache_misses;
   }
 
-  // Scatter: shard k goes to channel k % M; every shard retries
-  // independently under the policy (reconnecting channels make a restarted
-  // daemon transparent to the retry loop).
+  // Scatter: shard k goes to channel k % M, one thread per shard (the
+  // shared pool runs one batch at a time and would serialize concurrent
+  // sessions); every shard runs the supervisor's attempt loop, and
+  // reconnecting channels make a restarted daemon look like one retry.
   const int num_shards = req.num_shards;
-  const int max_attempts =
-      req.retry.max_attempts < 1 ? 1 : req.retry.max_attempts;
-  std::vector<std::string> bundles(static_cast<size_t>(num_shards));
-  std::vector<Status> final_status(static_cast<size_t>(num_shards),
-                                   Status::OK());
-  std::vector<uint8_t> delivered(static_cast<size_t>(num_shards), 0);
-  std::vector<int64_t> attempts_used(static_cast<size_t>(num_shards), 0);
-
   ExecShardRequest base;
   base.query = query_name;
   base.seed = req.seed;
@@ -349,92 +305,40 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
   base.num_threads = req.num_threads < 1 ? 1 : req.num_threads;
   base.admission_scale = scale;
   base.expected_catalog_fingerprint = info.catalog_fingerprint;
-
-  const auto run_shard = [&](int k) {
-    DaemonChannel* channel = channels_[static_cast<size_t>(k) %
-                                       channels_.size()]
-                                 .get();
-    ExecShardRequest ereq = base;
-    ereq.shard_index = k;
-    const std::string body = ExecShardRequestToBytes(ereq);
-    Status last = Status::Unavailable("shard never attempted");
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-      if (attempt > 1) SleepServeBackoff(req.retry, k, attempt);
-      ++attempts_used[static_cast<size_t>(k)];
-      Result<std::string> answer =
-          channel->Call(ServeMsg::kExecRequest, session_id, body,
-                        ServeMsg::kExecResponse, req.retry.deadline_ms);
-      if (answer.ok()) {
-        bundles[static_cast<size_t>(k)] = std::move(answer).ValueOrDie();
-        delivered[static_cast<size_t>(k)] = 1;
-        return;
-      }
-      last = answer.status();
-      if (!IsRetryableShardFailure(last)) break;
-    }
-    final_status[static_cast<size_t>(k)] = last;
+  const ShardAttempt call = [&](int k) {
+    ExecShardRequest shard_req = base;
+    shard_req.shard_index = k;
+    return channels_[static_cast<size_t>(k) % channels_.size()]->Call(
+        ServeMsg::kExecRequest, session_id,
+        ExecShardRequestToBytes(shard_req), ServeMsg::kExecResponse,
+        req.retry.deadline_ms);
   };
-
+  std::vector<Result<std::string>> outcomes(
+      static_cast<size_t>(num_shards),
+      Result<std::string>(Status::Internal("shard was never attempted")));
+  ShardAttemptCounters counters;
   {
     std::vector<std::thread> scatter;
     scatter.reserve(static_cast<size_t>(num_shards));
     for (int k = 0; k < num_shards; ++k) {
-      scatter.emplace_back(run_shard, k);
+      scatter.emplace_back([&, k] {
+        outcomes[static_cast<size_t>(k)] =
+            RunShardAttempts(req.retry, k, call, &counters);
+      });
     }
     for (std::thread& t : scatter) t.join();
   }
-
-  std::vector<int> shard_ids;
-  std::vector<const std::string*> views;
-  std::vector<std::pair<int, std::string>> failed;
-  int64_t total_attempts = 0;
-  for (int k = 0; k < num_shards; ++k) {
-    total_attempts += attempts_used[static_cast<size_t>(k)];
-    if (delivered[static_cast<size_t>(k)]) {
-      shard_ids.push_back(k);
-      views.push_back(&bundles[static_cast<size_t>(k)]);
-    } else {
-      const Status& st = final_status[static_cast<size_t>(k)];
-      // Fatal (divergent-state) failures propagate regardless of
-      // allow_partial — degrading would hide a configuration bug.
-      if (!IsRetryableShardFailure(st)) return st;
-      failed.emplace_back(k, st.ToString());
-    }
-  }
-  if (req.stats != nullptr) {
-    req.stats->shard_attempts = total_attempts;
-    req.stats->shard_retries = total_attempts - num_shards;
-    req.stats->shards_lost = static_cast<int64_t>(failed.size());
-  }
-  if (!failed.empty() && !req.allow_partial) {
-    const auto& [shard, message] = failed.front();
-    return Status::Unavailable(
-        "shard " + std::to_string(shard) + " failed after " +
-        std::to_string(max_attempts) +
-        " attempt(s) and ServedRequest::allow_partial is not set: " + message);
-  }
-
-  const bool complete = failed.empty();
   GUS_ASSIGN_OR_RETURN(
       FaultTolerantResult folded,
-      FoldGatheredShardBundles(shard_ids, views, num_shards,
-                               info.pivot_relation, failed,
-                               /*capture_merged_state=*/complete &&
-                                   req.use_cache));
+      FoldShardOutcomes(outcomes, counters, req.allow_partial,
+                        info.pivot_relation, req.stats,
+                        /*capture_merged_state=*/req.use_cache));
 
-  ServedResult out;
   out.report = folded.report;
   out.degraded = folded.degraded;
   out.degradation = folded.degradation;
   out.live = folded.live;
-  out.session_id = session_id;
-  out.admission_scale = scale;
-  if (req.stats != nullptr) {
-    req.stats->degraded = folded.degraded;
-    req.stats->effective_coverage =
-        folded.degraded ? folded.degradation.effective_coverage : 1.0;
-  }
-  if (complete && req.use_cache && !folded.merged_sbox_state.empty()) {
+  if (!folded.merged_sbox_state.empty()) {
     WireBundleWriter bundle;
     bundle.AddSection(WireTag::kSboxState,
                       std::move(folded.merged_sbox_state));

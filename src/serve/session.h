@@ -14,14 +14,15 @@
 // SessionCoordinator::Execute is one query end to end: allocate a
 // session id, resolve the query's ServePlanInfo (fetched once per name,
 // then cached), consult the approximate-view cache, fan the shards out
-// across the fleet (shard k -> channel[k % M], each shard retried under
-// the ShardRetryPolicy with the same deterministic backoff as the
-// in-process fault-tolerant path), and fold the gathered bundles through
-// FoldGatheredShardBundles — the *same* fold as the one-shot kSharded
-// gather, which is what makes a served answer bit-identical to it by
-// construction. Execute is thread-safe; N client threads driving one
-// coordinator is the intended shape (the concurrency tests do exactly
-// that).
+// across the fleet (shard k -> channel[k % M], one thread per shard), and
+// gather. Retrying and folding are not implemented here: each shard runs
+// the shard supervisor of dist/coordinator.h — RunShardAttempts with one
+// DaemonChannel::Call per attempt, then FoldShardOutcomes — the *same*
+// attempt loop and fold as the in-process kSharded scatter, which is what
+// makes a served answer, its retry accounting, and its failure codes
+// identical to the one-shot path by construction. Execute is thread-safe;
+// N client threads driving one coordinator is the intended shape (the
+// concurrency tests do exactly that).
 //
 // Admission control sits at the front door: when a controller is
 // attached, its current scale travels in every shard request and the
@@ -110,7 +111,6 @@ class DaemonChannel {
 
   /// Current live generation, connecting a fresh one if needed.
   Result<std::shared_ptr<ConnState>> EnsureConnected();
-  void ReaderLoop(std::shared_ptr<ConnState> conn);
   /// Marks the generation dead and fails every parked call with `why`.
   static void KillConn(const std::shared_ptr<ConnState>& conn,
                        const Status& why);
@@ -174,6 +174,9 @@ class SessionCoordinator {
   SessionCoordinator& operator=(const SessionCoordinator&) = delete;
 
   /// \brief Runs `query_name` end to end (see file comment). Thread-safe.
+  ///
+  /// An invalid `req.retry` (ShardRetryPolicy::Validate) is rejected as
+  /// InvalidArgument before any daemon is asked.
   Result<ServedResult> Execute(const std::string& query_name,
                                const ServedRequest& req);
 

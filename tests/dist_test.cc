@@ -792,6 +792,53 @@ TEST(FaultToleranceTest, ExhaustedRetriesFailLoudlyWithoutAllowPartial) {
   EXPECT_NE(std::string::npos, st.message().find("allow_partial"));
 }
 
+/// A transport that refuses shard `refused` with a divergent-state
+/// (fatal) error, as a version-skewed peer would; every other shard goes
+/// through a local mailbox.
+class RefusingTransport final : public ShardTransport {
+ public:
+  explicit RefusingTransport(int refused) : refused_(refused) {}
+  Status Send(int shard_index, std::string payload) override {
+    if (shard_index == refused_) {
+      return Status::InvalidArgument("shard " + std::to_string(shard_index) +
+                                     " speaks another wire version");
+    }
+    return inner_.Send(shard_index, std::move(payload));
+  }
+  Result<std::string> Receive(int shard_index) override {
+    return inner_.Receive(shard_index);
+  }
+
+ private:
+  const int refused_;
+  LocalTransport inner_;
+};
+
+TEST(FaultToleranceTest, FatalFailureIsNeverFoldedAround) {
+  // A fatal failure propagates with its own code whether or not partial
+  // answers are allowed: it is neither relabeled as a retryable loss nor
+  // degraded around.
+  Query1Fixture fx;
+  for (const bool allow_partial : {false, true}) {
+    SCOPED_TRACE(allow_partial ? "allow_partial" : "strict");
+    RefusingTransport transport(/*refused=*/1);
+    ExecStats stats;
+    ExecOptions exec = fx.exec;
+    exec.allow_partial = allow_partial;
+    exec.stats = &stats;
+    const Status st =
+        FaultTolerantShardedSboxEstimate(fx.q1.plan, fx.catalog, 17,
+                                         ExecMode::kSampled, exec, 4,
+                                         fx.q1.aggregate, fx.soa.top,
+                                         fx.options, &transport)
+            .status();
+    EXPECT_STATUS_CODE(kInvalidArgument, st);
+    EXPECT_NE(std::string::npos, st.message().find("wire version"));
+    EXPECT_EQ(0, stats.shard_retries);  // fatal: never re-attempted
+    EXPECT_FALSE(stats.degraded);
+  }
+}
+
 TEST(FaultToleranceTest, PartialEstimateMeanOverKillsIsExactlyUnbiased) {
   // The Horvitz-Thompson identity behind the survival GUS, checked
   // exactly: killing shard j and re-weighting the m = N-1 survivors by

@@ -12,10 +12,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -503,6 +505,131 @@ TEST(ServeTest, AllowPartialDegradesHonestlyWhenADaemonStaysDead) {
   EXPECT_EQ(2, stats.shards_lost);
   EXPECT_TRUE(stats.degraded);
   EXPECT_EQ(0u, cache.size());  // outages are not immortalized
+  coordinator.Shutdown();
+}
+
+TEST(ServeTest, ExecuteRejectsAnInvalidRetryPolicy) {
+  // The same ShardRetryPolicy::Validate that ExecOptions::Validate runs in
+  // process: a bad policy is refused before any daemon is asked.
+  ServeFixture fx;
+  Fleet fleet = StartFleet(fx, 1, "badretry");
+  SessionCoordinator coordinator(fleet.endpoints);
+  ServedRequest no_attempts = BaseRequest(3);
+  no_attempts.retry.max_attempts = 0;
+  ServedRequest shrinking = BaseRequest(3);
+  shrinking.retry.backoff_mult = 0.5;
+  for (const ServedRequest& req : {no_attempts, shrinking}) {
+    auto result = coordinator.Execute("q1", req);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(StatusCode::kInvalidArgument, result.status().code());
+  }
+  EXPECT_EQ(0, fleet.daemons[0]->requests_served());
+  coordinator.Shutdown();
+}
+
+TEST(ServeTest, RetryAccountingMatchesTheInProcessSupervisor) {
+  // One supervisor, so one account: the same single-shard fault, injected
+  // at the in-process worker and at the daemon, costs the same attempts
+  // and retries and lands on the same bits.
+  ServeFixture fx;
+  ExecStats local_stats;
+  FaultTolerantResult local;
+  {
+    ScopedFaultPlan plan("worker.execute@1=fail*2");
+    ExecOptions exec = fx.exec;
+    exec.retry.max_attempts = 3;
+    exec.stats = &local_stats;
+    ASSERT_OK_AND_ASSIGN(
+        local, FaultTolerantShardedSboxEstimate(
+                   fx.q1.plan, fx.catalog, 19, ExecMode::kSampled, exec, 4,
+                   fx.q1.aggregate, fx.soa.top, fx.options));
+  }
+  Fleet fleet = StartFleet(fx, 2, "accounting");
+  SessionCoordinator coordinator(fleet.endpoints);
+  ExecStats served_stats;
+  ServedResult served;
+  {
+    ScopedFaultPlan plan("serve.execute@1=fail*2");
+    ServedRequest req = BaseRequest(19);
+    req.retry.max_attempts = 3;
+    req.stats = &served_stats;
+    ASSERT_OK_AND_ASSIGN(served, coordinator.Execute("q1", req));
+  }
+  EXPECT_FALSE(local.degraded);
+  EXPECT_FALSE(served.degraded);
+  ExpectReportsIdentical(local.report, served.report);
+  for (const ExecStats* stats : {&local_stats, &served_stats}) {
+    EXPECT_EQ(6, stats->shard_attempts);  // 4 shards + 2 re-attempts
+    EXPECT_EQ(2, stats->shard_retries);
+    EXPECT_EQ(0, stats->shards_lost);
+    EXPECT_EQ(0, stats->shard_deadline_hits);
+  }
+
+  // A socket attempt that outlives its deadline is a deadline hit, and
+  // (nothing else failing) every retry is one.
+  {
+    ScopedFaultPlan plan("serve.execute@2=delay+2000");
+    ExecStats stats;
+    ServedRequest req = BaseRequest(19);
+    req.retry.deadline_ms = 500;
+    req.stats = &stats;
+    ASSERT_OK_AND_ASSIGN(ServedResult late, coordinator.Execute("q1", req));
+    ExpectReportsIdentical(local.report, late.report);
+    EXPECT_GE(stats.shard_deadline_hits, 1);
+    EXPECT_EQ(stats.shard_deadline_hits, stats.shard_retries);
+    EXPECT_EQ(0, stats.shards_lost);
+  }
+  coordinator.Shutdown();
+}
+
+/// Threads of this process the kernel still runs.
+int64_t CountTasks() {
+  int64_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// Memory mappings of this process. A thread that finished but was never
+/// joined has left /proc/self/task, yet its stack (and guard page) stay
+/// mapped until the join — this is where an unreaped thread shows.
+int64_t CountMappings() {
+  std::ifstream maps("/proc/self/maps");
+  int64_t n = 0;
+  for (std::string line; std::getline(maps, line);) ++n;
+  return n;
+}
+
+TEST(ServeTest, PersistentConnectionKeepsDaemonThreadsBounded) {
+  // One coordinator keeps one connection to the daemon open for all its
+  // requests; the daemon must join each finished request thread long
+  // before that connection closes.
+  ServeFixture fx;
+  const std::vector<uint64_t> seeds = {71, 72, 73};
+  std::map<uint64_t, SboxReport> local;
+  for (const uint64_t seed : seeds) local[seed] = fx.Local(seed, 4);
+  Fleet fleet = StartFleet(fx, 1, "reap");
+  SessionCoordinator coordinator(fleet.endpoints);
+  for (int warm = 0; warm < 5; ++warm) {
+    ASSERT_OK(coordinator.Execute("q1", BaseRequest(seeds[0])).status());
+  }
+  const int64_t served_before = fleet.daemons[0]->requests_served();
+  const int64_t tasks_before = CountTasks();
+  const int64_t mappings_before = CountMappings();
+  int64_t max_tasks = tasks_before;
+  for (int q = 0; q < 75; ++q) {  // 75 queries x 4 shards = 300 requests
+    const uint64_t seed = seeds[static_cast<size_t>(q) % seeds.size()];
+    ASSERT_OK_AND_ASSIGN(ServedResult served,
+                         coordinator.Execute("q1", BaseRequest(seed)));
+    ExpectReportsIdentical(local[seed], served.report);
+    max_tasks = std::max(max_tasks, CountTasks());
+  }
+  EXPECT_EQ(served_before + 300, fleet.daemons[0]->requests_served());
+  EXPECT_LT(max_tasks, tasks_before + 16);
+  EXPECT_LT(CountMappings(), mappings_before + 100);
   coordinator.Shutdown();
 }
 
