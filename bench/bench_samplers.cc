@@ -94,6 +94,24 @@ void BM_LineageBernoulli(benchmark::State& state) {
 }
 BENCHMARK(BM_LineageBernoulli);
 
+// The fixed-size WOR keep-set kernel every engine resolves through (priority
+// pass + exact selection); args are (N, n). (256000, 128000) is Query 1's
+// orders side in the repo benchmark.
+void BM_DecoupledWorKeep(benchmark::State& state) {
+  const int64_t n_rows = state.range(0);
+  const int64_t n = state.range(1);
+  uint64_t seed = 14;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecoupledWorKeepIndices(n_rows, n, seed++));
+  }
+  state.SetItemsProcessed(state.iterations() * n_rows);
+}
+BENCHMARK(BM_DecoupledWorKeep)
+    ->Args({256000, 128000})
+    ->Args({1000000, 500000})
+    ->Args({4000000, 40000})
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace gus
 

@@ -1,6 +1,7 @@
 #include "kernels/sampling_kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "kernels/simd/simd_dispatch.h"
@@ -108,6 +109,48 @@ bool BlockDecisionCache::Decide(uint64_t block, double p, Rng* rng) {
     it = sparse_.emplace(block, rng->Bernoulli(p)).first;
   }
   return it->second;
+}
+
+std::vector<int64_t> SmallestPriorityRows(const uint64_t* priority,
+                                          int64_t num_rows, int64_t n) {
+  GUS_DCHECK(n >= 0 && n <= num_rows);
+  std::vector<int64_t> keep;
+  if (n == 0) return keep;
+
+  // 1. Histogram of the top kBucketBits of every key.
+  constexpr int kBucketBits = 12;
+  constexpr int kShift = 64 - kBucketBits;
+  std::array<int64_t, size_t{1} << kBucketBits> hist{};
+  for (int64_t row = 0; row < num_rows; ++row) ++hist[priority[row] >> kShift];
+
+  // 2. The bucket holding rank n, then the exact cutoff pair inside it.
+  uint64_t bucket = 0;
+  int64_t below = 0;  // keys in buckets before `bucket`
+  while (below + hist[bucket] < n) below += hist[bucket++];
+  std::vector<std::pair<uint64_t, int64_t>> candidates;
+  candidates.reserve(static_cast<size_t>(hist[bucket]));
+  for (int64_t row = 0; row < num_rows; ++row) {
+    if ((priority[row] >> kShift) == bucket) {
+      candidates.emplace_back(priority[row], row);
+    }
+  }
+  const auto cutoff = candidates.begin() + (n - below - 1);
+  std::nth_element(candidates.begin(), cutoff, candidates.end());
+  const auto [cut_priority, cut_row] = *cutoff;
+
+  // 3. Exactly n pairs are <= the cutoff; emit their rows in order with a
+  // branch-free append (one spare slot absorbs the write after the last).
+  keep.resize(static_cast<size_t>(n) + 1);
+  int64_t kept = 0;
+  for (int64_t row = 0; row < num_rows; ++row) {
+    const uint64_t p = priority[row];
+    keep[static_cast<size_t>(kept)] = row;
+    kept += static_cast<int64_t>((p < cut_priority) |
+                                 ((p == cut_priority) & (row <= cut_row)));
+  }
+  GUS_DCHECK(kept == n);
+  keep.resize(static_cast<size_t>(n));
+  return keep;
 }
 
 void MergeableReservoir::Offer(uint64_t priority, int64_t row) {

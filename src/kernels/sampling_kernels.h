@@ -30,9 +30,11 @@
 // decision is then a pure function of (seed, unit index) via
 // Rng::ForkStream. Because no state flows between units, any partition of
 // the rows into morsels or shards computes the identical keys, and a
-// fixed-size WOR draw reduces to "the n smallest priority keys" — exactly
-// computable from bounded per-partition candidate sets (MergeableReservoir)
-// folded in any grouping.
+// fixed-size WOR draw reduces to "the n smallest priority keys". The
+// executed kernel finds them by an exact O(N) selection
+// (SmallestPriorityRows); MergeableReservoir is the reference definition
+// of the same set — bounded per-partition candidates folded in any
+// grouping — and the oracle the tests compare the kernel against.
 
 #ifndef GUS_KERNELS_SAMPLING_KERNELS_H_
 #define GUS_KERNELS_SAMPLING_KERNELS_H_
@@ -152,16 +154,32 @@ inline int64_t WrDrawTarget(uint64_t seed, int64_t draw, int64_t population) {
       r.UniformInt(static_cast<uint64_t>(population)));
 }
 
+/// \brief The n smallest (priority[row], row) pairs over rows
+/// [0, num_rows), as their rows ascending; requires 0 <= n <= num_rows.
+///
+/// The executed fixed-size WOR kernel (DecoupledWorKeepIndices), exact and
+/// O(N): a histogram of the top 12 key bits finds the bucket holding rank
+/// n, nth_element over that bucket's candidates (~N/4096 of them for
+/// uniform keys) fixes the exact cutoff pair, and one ascending pass emits
+/// every row whose pair is <= the cutoff — so no final sort. Ties on the
+/// key break on the row index, the same total order MergeableReservoir
+/// uses, so both select the identical rows for any key array.
+std::vector<int64_t> SmallestPriorityRows(const uint64_t* priority,
+                                          int64_t num_rows, int64_t n);
+
 /// \brief Bounded candidate state for an exact distributed top-n
-/// (smallest-priority) selection — the mergeable reservoir behind
-/// fixed-size WOR/reservoir sampling.
+/// (smallest-priority) selection — the reference definition of a
+/// fixed-size WOR keep-set and the test oracle for SmallestPriorityRows.
 ///
 /// Each partition offers its rows' (priority, row) pairs and retains at
-/// most n candidates; folding the per-partition states (in morsel order,
-/// though the result is grouping-independent) yields exactly the global
-/// n smallest pairs, because a row outside a partition's local top-n can
-/// never be in the global top-n. Ties break on the row index, so the
-/// selection is total even under (astronomically unlikely) equal keys.
+/// most n candidates; folding the per-partition states (in any grouping)
+/// yields exactly the global n smallest pairs, because a row outside a
+/// partition's local top-n can never be in the global top-n. Ties break on
+/// the row index, so the selection is total even under (astronomically
+/// unlikely) equal keys. This partition-independence is what makes the
+/// keep-set identical on every engine and shard; the engines themselves
+/// resolve it with SmallestPriorityRows, which is O(N) rather than this
+/// heap's O(N log n).
 class MergeableReservoir {
  public:
   explicit MergeableReservoir(int64_t n) : n_(n) {}

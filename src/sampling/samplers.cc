@@ -134,9 +134,11 @@ Result<std::vector<int64_t>> DecoupledWorKeepIndices(int64_t num_rows,
   if (n < 0 || n > num_rows) {
     return Status::InvalidArgument("WOR sample size must be in [0, N]");
   }
-  MergeableReservoir reservoir(n);
-  reservoir.OfferRange(seed, 0, num_rows);
-  return reservoir.SortedRows();
+  std::vector<uint64_t> priority(static_cast<size_t>(num_rows));
+  for (int64_t row = 0; row < num_rows; ++row) {
+    priority[row] = WorPriority(seed, static_cast<uint64_t>(row));
+  }
+  return SmallestPriorityRows(priority.data(), num_rows, n);
 }
 
 Result<std::vector<int64_t>> DecoupledWrDistinctKeepIndices(int64_t num_rows,

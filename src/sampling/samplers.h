@@ -70,15 +70,16 @@ Result<std::vector<int64_t>> LineageBernoulliKeepIndices(
 // and the keep-set is then a pure function of (seed, input shape) built
 // from per-row keys (kernels/sampling_kernels.h). All four engines — row,
 // columnar, morsel-parallel, sharded — therefore draw bit-identical
-// fixed-size samples from identical seeds, and the morsel engine can
-// evaluate any row range independently and fold bounded per-morsel
-// candidate states into the exact global result.
+// fixed-size samples from identical seeds, and every morsel or shard can
+// filter its row range against the same global keep-set.
 
-/// \brief Exact uniform WOR(n) as the n smallest WorPriority(seed, row)
-/// keys; kept indexes ascending.
+/// \brief Exact uniform WOR(n) as the n smallest (WorPriority(seed, row),
+/// row) pairs; kept indexes ascending.
 ///
-/// Equals folding per-range MergeableReservoir states over any partition
-/// of [0, num_rows).
+/// Resolved by the O(N) exact selection SmallestPriorityRows. The set is
+/// by definition the one folding per-range MergeableReservoir states over
+/// any partition of [0, num_rows) yields — the reservoir is the reference
+/// and test oracle, not the executed path.
 Result<std::vector<int64_t>> DecoupledWorKeepIndices(int64_t num_rows,
                                                      int64_t n, uint64_t seed);
 

@@ -212,13 +212,18 @@ Result<ServePlanInfo> SessionCoordinator::ResolvePlanInfo(
   w.PutString(query_name);
   const std::string body = w.buffer();
   // Any daemon in the fleet can answer (they serve the same registry), so
-  // each attempt asks the next one: a dead daemon costs one retry, and an
-  // unknown query is a fatal answer from whichever daemon is asked.
-  size_t next = 0;
+  // one attempt asks each daemon in turn until one answers: a dead daemon
+  // never fails the lookup while another is up, and an unknown query is a
+  // fatal answer from whichever daemon is asked. Only a fleet with no live
+  // daemon reports the last retryable failure to the attempt loop.
   const ShardAttempt ask = [&](int) {
-    DaemonChannel* channel = channels_[next++ % channels_.size()].get();
-    return channel->Call(ServeMsg::kPlanInfoRequest, session_id, body,
-                         ServeMsg::kPlanInfoResponse, retry.deadline_ms);
+    Result<std::string> answer = Status::Internal("no daemon was asked");
+    for (const auto& channel : channels_) {
+      answer = channel->Call(ServeMsg::kPlanInfoRequest, session_id, body,
+                             ServeMsg::kPlanInfoResponse, retry.deadline_ms);
+      if (answer.ok() || !IsRetryableShardFailure(answer.status())) break;
+    }
+    return answer;
   };
   ShardAttemptCounters uncounted;
   GUS_ASSIGN_OR_RETURN(std::string answer,

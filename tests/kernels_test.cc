@@ -2,12 +2,14 @@
 // (duplicates, forced hash collisions, the loud-failure build check, empty
 // builds) and the geometric-skip Bernoulli kernel (span-partition
 // invariance, Binomial(N, p) mean/variance, O(pN) draw count, identical
-// keep-sets across engines).
+// keep-sets across engines), and the O(N) WOR selection kernel against its
+// MergeableReservoir oracle (hashed keys and hand-made key ties).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "kernels/join_hash_table.h"
@@ -426,14 +428,67 @@ TEST(MergeableReservoirTest, ChunkedFoldMatchesDirectTopN) {
 }
 
 TEST(MergeableReservoirTest, DecoupledWorCoreMatchesReservoir) {
-  ASSERT_OK_AND_ASSIGN(std::vector<int64_t> keep,
-                       DecoupledWorKeepIndices(500, 50, 99));
-  MergeableReservoir reservoir(50);
-  reservoir.OfferRange(99, 0, 500);
-  EXPECT_EQ(reservoir.SortedRows(), keep);
-  EXPECT_EQ(50u, keep.size());
-  EXPECT_TRUE(std::is_sorted(keep.begin(), keep.end()));
-  EXPECT_TRUE(std::adjacent_find(keep.begin(), keep.end()) == keep.end());
+  // The executed O(N) selection must keep exactly the rows the reservoir
+  // oracle keeps — offered directly and folded from chunk states — at the
+  // histogram's bucket-count edges (4095/4096/4097) and at n = 0, 1, N/100,
+  // N/2, N-1, N.
+  for (const int64_t n_rows : {0L, 1L, 2L, 4095L, 4096L, 4097L, 100000L}) {
+    std::vector<int64_t> sizes = {0,          1,          n_rows / 100,
+                                  n_rows / 2, n_rows - 1, n_rows};
+    std::sort(sizes.begin(), sizes.end());
+    sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+    for (const int64_t n : sizes) {
+      if (n < 0 || n > n_rows) continue;
+      for (const uint64_t seed : {99ULL, 0xfeedULL, 0x9e3779b97f4a7c15ULL}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "N=" << n_rows << " n=" << n << " seed=" << seed);
+        ASSERT_OK_AND_ASSIGN(std::vector<int64_t> keep,
+                             DecoupledWorKeepIndices(n_rows, n, seed));
+        MergeableReservoir direct(n);
+        direct.OfferRange(seed, 0, n_rows);
+        EXPECT_EQ(direct.SortedRows(), keep);
+        const int64_t chunk = n_rows / 7 + 1;
+        MergeableReservoir folded(n);
+        for (int64_t begin = 0; begin < n_rows; begin += chunk) {
+          MergeableReservoir part(n);
+          part.OfferRange(seed, begin, std::min(n_rows, begin + chunk));
+          folded.MergeFrom(part);
+        }
+        EXPECT_EQ(folded.SortedRows(), keep);
+        EXPECT_EQ(static_cast<size_t>(n), keep.size());
+      }
+    }
+  }
+}
+
+TEST(MergeableReservoirTest, SelectionBreaksKeyTiesOnTheRowLikeTheOracle) {
+  // Explicit key arrays with repeated keys: tie groups that straddle the
+  // cutoff at every n, all keys equal, all keys in one histogram bucket,
+  // and the extreme keys 0 and UINT64_MAX.
+  const uint64_t kMax = ~uint64_t{0};
+  const uint64_t kTop = uint64_t{0xabc} << 52;  // one shared top-12 bucket
+  const std::vector<std::vector<uint64_t>> arrays = {
+      {5, 3, 5, 3, 3, 7, 5, 3, 7, 7, 5, 3},
+      {9, 9, 9, 9, 9, 9, 9, 9},
+      {kTop + 2, kTop, kTop + 1, kTop, kTop + 2, kTop + 1, kTop, kTop + 2},
+      {kMax, 0, kMax, 0, kMax, kMax, 0, 1},
+  };
+  for (size_t a = 0; a < arrays.size(); ++a) {
+    const std::vector<uint64_t>& keys = arrays[a];
+    const auto n_rows = static_cast<int64_t>(keys.size());
+    for (int64_t n = 0; n <= n_rows; ++n) {
+      SCOPED_TRACE(::testing::Message() << "array=" << a << " n=" << n);
+      MergeableReservoir oracle(n);
+      for (int64_t row = 0; row < n_rows; ++row) oracle.Offer(keys[row], row);
+      EXPECT_EQ(oracle.SortedRows(),
+                SmallestPriorityRows(keys.data(), n_rows, n));
+    }
+  }
+  // A large all-ties array keeps the first n rows.
+  const std::vector<uint64_t> flat(10000, 42);
+  std::vector<int64_t> first(2500);
+  std::iota(first.begin(), first.end(), int64_t{0});
+  EXPECT_EQ(first, SmallestPriorityRows(flat.data(), 10000, 2500));
 }
 
 TEST(BlockDecisionCacheTest, OneDrawPerDistinctBlock) {

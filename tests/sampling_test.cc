@@ -249,6 +249,17 @@ TEST(DecoupledCoreTest, WorSizeAndUniformInclusion) {
   }
 }
 
+TEST(DecoupledCoreTest, WorRejectsSizesOutsideThePopulation) {
+  for (const int64_t n : {-1L, 11L}) {
+    auto keep = DecoupledWorKeepIndices(10, n, 7);
+    ASSERT_FALSE(keep.ok());
+    EXPECT_EQ(StatusCode::kInvalidArgument, keep.status().code());
+  }
+  auto empty = DecoupledWorKeepIndices(0, 1, 7);
+  ASSERT_FALSE(empty.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument, empty.status().code());
+}
+
 TEST(DecoupledCoreTest, WorPairwiseInclusionMatchesTheory) {
   // b_pair = n(n-1)/(N(N-1)) for WOR(n=5, N=12): 20/132 — the Figure 1
   // second-order parameter the GUS analysis relies on.

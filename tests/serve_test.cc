@@ -508,6 +508,31 @@ TEST(ServeTest, AllowPartialDegradesHonestlyWhenADaemonStaysDead) {
   coordinator.Shutdown();
 }
 
+TEST(ServeTest, PlanInfoLookupAsksEveryDaemonWithinOneAttempt) {
+  // Daemon 0 is dead before the first query, so the plan info is not
+  // cached yet; a single attempt must still reach daemon 1 for it.
+  ServeFixture fx;
+  Fleet fleet = StartFleet(fx, 2, "infofallback");
+  SessionCoordinator coordinator(fleet.endpoints);
+  fleet.daemons[0]->Stop();
+
+  // Strict mode fails on the lost shards, not on the plan-info lookup.
+  ServedRequest req = BaseRequest(53);
+  req.retry.max_attempts = 1;
+  auto strict = coordinator.Execute("q1", req);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(StatusCode::kUnavailable, strict.status().code());
+  EXPECT_NE(std::string::npos,
+            strict.status().ToString().find("allow_partial"));
+
+  // allow_partial: daemon 1's shards answer.
+  req.allow_partial = true;
+  ASSERT_OK_AND_ASSIGN(ServedResult degraded, coordinator.Execute("q1", req));
+  EXPECT_TRUE(degraded.degraded);
+  EXPECT_EQ(2, degraded.degradation.surviving_shards);
+  coordinator.Shutdown();
+}
+
 TEST(ServeTest, ExecuteRejectsAnInvalidRetryPolicy) {
   // The same ShardRetryPolicy::Validate that ExecOptions::Validate runs in
   // process: a bad policy is refused before any daemon is asked.
