@@ -122,13 +122,15 @@ Result<uint64_t> PlanCatalogFingerprint(const PlanPtr& plan,
 /// \brief Converts every in-memory base relation `plan` scans into
 /// columnar form ahead of concurrent shard workers.
 ///
-/// ColumnarCatalog's conversion caches are written lazily on first use and
-/// are not thread-safe; warming them serially lets concurrent workers (the
+/// A ColumnarCatalog's map of pinned forms is written lazily on first use
+/// and is not thread-safe; warming it serially lets concurrent workers (the
 /// in-process scatter's pool, a daemon's request threads) share the
-/// catalog read-only afterwards. Segment-backed relations are skipped:
-/// they stream through the thread-safe pinned cache, and materializing
-/// them would defeat out-of-core execution. The fingerprint cache is left
-/// to PlanCatalogFingerprint, which costs a full pass over the base data.
+/// catalog read-only afterwards. The conversion itself is memoized by each
+/// row Relation, so warming a relation that was converted before costs no
+/// pass over its rows. Segment-backed relations are skipped: they stream
+/// through the thread-safe pinned cache, and materializing them would
+/// defeat out-of-core execution. Fingerprints are left to
+/// PlanCatalogFingerprint (memoized alongside the form).
 Status WarmCatalogForPlan(const PlanPtr& plan, ColumnarCatalog* catalog);
 
 /// \brief WireTag::kSamplerState payload: the pivot-path fixed-size

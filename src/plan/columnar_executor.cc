@@ -39,23 +39,23 @@ Result<bool> BatchSource::NextView(SelView* out) {
 
 Result<const ColumnarRelation*> ColumnarCatalog::Get(const std::string& name) {
   auto cached = cache_.find(name);
-  if (cached != cache_.end()) return &cached->second;
+  if (cached != cache_.end()) return cached->second.get();
   auto it = catalog_->find(name);
   if (it == catalog_->end()) {
     return Status::KeyError("relation '" + name + "' not in catalog");
   }
-  GUS_ASSIGN_OR_RETURN(ColumnarRelation col,
-                       ColumnarRelation::FromRelation(it->second));
-  return &cache_.emplace(name, std::move(col)).first->second;
+  GUS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> col,
+                       it->second.Columnar());
+  return cache_.emplace(name, std::move(col)).first->second.get();
 }
 
 Result<uint64_t> ColumnarCatalog::Fingerprint(const std::string& name) {
-  auto cached = fingerprints_.find(name);
-  if (cached != fingerprints_.end()) return cached->second;
   GUS_ASSIGN_OR_RETURN(const ColumnarRelation* rel, Get(name));
-  const uint64_t h = ContentFingerprint(name, rel->data());
-  fingerprints_.emplace(name, h);
-  return h;
+  auto it = catalog_->find(name);
+  if (it == catalog_->end()) {
+    return Status::KeyError("relation '" + name + "' not in catalog");
+  }
+  return it->second.Fingerprint(name, *rel);
 }
 
 Result<int64_t> ColumnarCatalog::RowCountOf(const std::string& name) {

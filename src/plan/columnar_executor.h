@@ -59,11 +59,22 @@ class StoredRelation;  // store/segment_store.h
 
 /// \brief Catalog of base relations in columnar form.
 ///
-/// The base class is the in-memory form: a lazy cache of row-engine catalog
-/// relations converted on first use. Conversion happens once per base
-/// relation and is shared by every scan of the plan (and across plans, if
-/// the caller keeps the catalog around — the benchmarks do, mirroring a
-/// system that ingests columnar once).
+/// The base class is the in-memory form over a row-engine Catalog. The
+/// conversion itself is memoized by each row Relation (Relation::Columnar):
+/// a base relation is converted once per content and the one immutable
+/// form is shared by every ColumnarCatalog over it — every query, every
+/// engine, every front door (ExecutePlan, sqlish::RunApproxQuery, the
+/// sharded estimator, a WorkerDaemon's start and restart) — and by copies
+/// of the relation. AppendRow/AppendRowChecked drop the memo, so a mutated
+/// relation never serves a stale form. The trade-off is memory: one
+/// columnar copy lives as long as its relation (or its last copy).
+///
+/// A ColumnarCatalog holds a stable snapshot: Get() pins the relation's
+/// form on first use in a shared_ptr, so a form this catalog handed out
+/// stays valid and unchanged even if the relation is mutated afterwards.
+/// The pin map is written lazily and is not thread-safe; concurrent users
+/// either hold their own ColumnarCatalog (the memo underneath is
+/// thread-safe) or warm a shared one first (WarmCatalogForPlan).
 ///
 /// The virtual surface is what lets the execution engines run over other
 /// storage unchanged: SegmentCatalog (store/segment_catalog.h) overrides it
@@ -82,8 +93,8 @@ class ColumnarCatalog {
   /// scans prefer Stored() when it returns non-null.
   virtual Result<const ColumnarRelation*> Get(const std::string& name);
 
-  /// \brief Content fingerprint of base relation `name` (computed once,
-  /// cached).
+  /// \brief Content fingerprint of base relation `name` (memoized by the
+  /// row Relation alongside its columnar form; see Relation::Fingerprint).
   ///
   /// Hashes the schema (names + types), lineage schema, row count, every
   /// column value (strings by content, floats by bit pattern), and the
@@ -120,8 +131,7 @@ class ColumnarCatalog {
 
  private:
   const Catalog* catalog_;
-  std::map<std::string, ColumnarRelation> cache_;
-  std::map<std::string, uint64_t> fingerprints_;
+  std::map<std::string, std::shared_ptr<const ColumnarRelation>> cache_;
 };
 
 /// \brief Pull iterator over a stream of column batches.

@@ -2,10 +2,55 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
+#include "rel/column_batch.h"
 #include "util/logging.h"
 
 namespace gus {
+
+Relation::Relation(const Relation& other) {
+  std::lock_guard<std::mutex> lock(other.memo_mu_);
+  CopyFrom(other);
+}
+
+Relation& Relation::operator=(const Relation& other) {
+  if (this == &other) return *this;
+  std::scoped_lock lock(memo_mu_, other.memo_mu_);
+  CopyFrom(other);
+  return *this;
+}
+
+Relation::Relation(Relation&& other) noexcept {
+  std::lock_guard<std::mutex> lock(other.memo_mu_);
+  MoveFrom(std::move(other));
+}
+
+Relation& Relation::operator=(Relation&& other) noexcept {
+  if (this == &other) return *this;
+  std::scoped_lock lock(memo_mu_, other.memo_mu_);
+  MoveFrom(std::move(other));
+  return *this;
+}
+
+void Relation::CopyFrom(const Relation& other) {
+  schema_ = other.schema_;
+  lineage_schema_ = other.lineage_schema_;
+  rows_ = other.rows_;
+  lineage_ = other.lineage_;
+  memo_ = other.memo_;
+}
+
+void Relation::MoveFrom(Relation&& other) {
+  schema_ = other.schema_;
+  lineage_schema_ = other.lineage_schema_;
+  rows_ = std::move(other.rows_);
+  lineage_ = std::move(other.lineage_);
+  memo_ = std::move(other.memo_);
+  other.rows_.clear();
+  other.lineage_.clear();
+  other.memo_.reset();
+}
 
 void Relation::AppendRow(Row row, LineageRow lineage) {
   GUS_CHECK(static_cast<int>(row.size()) == schema_.num_columns() &&
@@ -14,6 +59,7 @@ void Relation::AppendRow(Row row, LineageRow lineage) {
             "lineage arity must match the lineage schema");
   rows_.push_back(std::move(row));
   lineage_.push_back(std::move(lineage));
+  memo_.reset();
 }
 
 Status Relation::AppendRowChecked(Row row, LineageRow lineage) {
@@ -31,7 +77,34 @@ Status Relation::AppendRowChecked(Row row, LineageRow lineage) {
   }
   rows_.push_back(std::move(row));
   lineage_.push_back(std::move(lineage));
+  memo_.reset();
   return Status::OK();
+}
+
+Result<std::shared_ptr<const ColumnarRelation>> Relation::Columnar() const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  if (!memo_.has_value()) {
+    Result<ColumnarRelation> converted = ColumnarRelation::FromRelation(*this);
+    if (converted.ok()) {
+      memo_.emplace(ColumnarMemo{std::make_shared<const ColumnarRelation>(
+                                     std::move(converted).ValueOrDie()),
+                                 {}});
+    } else {
+      memo_.emplace(ColumnarMemo{converted.status(), {}});
+    }
+  }
+  return memo_->form;
+}
+
+uint64_t Relation::Fingerprint(const std::string& name,
+                               const ColumnarRelation& form) const {
+  std::lock_guard<std::mutex> lock(memo_mu_);
+  const bool current =
+      memo_.has_value() && memo_->form.ok() && memo_->form->get() == &form;
+  if (!current) return ContentFingerprint(name, form.data());
+  auto [it, inserted] = memo_->fingerprints.try_emplace(name, 0);
+  if (inserted) it->second = ContentFingerprint(name, form.data());
+  return it->second;
 }
 
 Relation Relation::MakeBase(const std::string& name, Schema schema,

@@ -14,11 +14,19 @@
 // Base relations have a single-entry lineage schema (themselves) and lineage
 // id = row position (or block id for block-sampled relations — lineage is on
 // sampling units, not content).
+//
+// A Relation also memoizes its columnar form (rel/column_batch.h) and the
+// content fingerprints of that form, so the columnar engines convert a base
+// relation once per content rather than once per query (see Columnar()).
 
 #ifndef GUS_REL_RELATION_H_
 #define GUS_REL_RELATION_H_
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +36,8 @@
 #include "util/status.h"
 
 namespace gus {
+
+class ColumnarRelation;  // rel/column_batch.h
 
 /// Per-row lineage: one base-tuple id per lineage-schema entry.
 using LineageRow = std::vector<uint64_t>;
@@ -49,6 +59,14 @@ class Relation {
   Relation(Schema schema, std::vector<std::string> lineage_schema)
       : schema_(std::move(schema)),
         lineage_schema_(std::move(lineage_schema)) {}
+
+  /// Copies share the source's converted columnar form (it is immutable).
+  Relation(const Relation& other);
+  Relation& operator=(const Relation& other);
+  /// A moved-from relation keeps its schemas and is left with no rows (and
+  /// no columnar form), so it can still be appended to and converted.
+  Relation(Relation&& other) noexcept;
+  Relation& operator=(Relation&& other) noexcept;
 
   const Schema& schema() const { return schema_; }
 
@@ -75,6 +93,23 @@ class Relation {
   /// InvalidArgument instead of aborting on an arity mismatch.
   Status AppendRowChecked(Row row, LineageRow lineage);
 
+  /// \brief The columnar form of this relation, converted on first use.
+  ///
+  /// Calls ColumnarRelation::FromRelation once and keeps the result — the
+  /// form, or its TypeError — until the next AppendRow/AppendRowChecked
+  /// drops it. Every caller until then shares the one immutable form, and
+  /// a caller's shared_ptr stays valid after the relation changes. Safe to
+  /// call from many threads at once: concurrent first calls convert once.
+  Result<std::shared_ptr<const ColumnarRelation>> Columnar() const;
+
+  /// \brief ContentFingerprint(name, form.data()) (rel/column_batch.h).
+  ///
+  /// Memoized per `name` alongside the columnar form while `form` is the
+  /// one Columnar() currently returns; a form from before a mutation is
+  /// hashed but not memoized.
+  uint64_t Fingerprint(const std::string& name,
+                       const ColumnarRelation& form) const;
+
   void Reserve(int64_t n) {
     rows_.reserve(n);
     lineage_.reserve(n);
@@ -97,10 +132,21 @@ class Relation {
   std::string ToString(int64_t max_rows = 10) const;
 
  private:
+  struct ColumnarMemo {
+    Result<std::shared_ptr<const ColumnarRelation>> form;
+    std::map<std::string, uint64_t> fingerprints;
+  };
+
+  void CopyFrom(const Relation& other);
+  void MoveFrom(Relation&& other);
+
   Schema schema_;
   std::vector<std::string> lineage_schema_;
   std::vector<Row> rows_;
   std::vector<LineageRow> lineage_;
+  // Written only under memo_mu_ by const methods; mutators drop it.
+  mutable std::mutex memo_mu_;
+  mutable std::optional<ColumnarMemo> memo_;
 };
 
 }  // namespace gus

@@ -95,7 +95,10 @@ class WorkerDaemon {
   /// endpoint ("tcp:0" becomes the real port).
   ///
   /// Restartable: Stop() then Start() again rebinds (the reconnect test
-  /// choreography — a killed daemon coming back on its address).
+  /// choreography — a killed daemon coming back on its address). The
+  /// columnar forms and fingerprints are memoized by the catalog's
+  /// relations (Relation::Columnar), so a restart re-pins them without
+  /// converting or hashing again.
   Result<Endpoint> Start(const Endpoint& listen);
 
   /// \brief Stops serving: closes the listener and every live

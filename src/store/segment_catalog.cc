@@ -123,11 +123,11 @@ Status WriteCatalogSegments(const Catalog& catalog, const std::string& dir,
                                    "'");
   }
   for (const auto& [name, rel] : catalog) {
-    GUS_ASSIGN_OR_RETURN(ColumnarRelation col,
-                         ColumnarRelation::FromRelation(rel));
+    GUS_ASSIGN_OR_RETURN(std::shared_ptr<const ColumnarRelation> col,
+                         rel.Columnar());
     GUS_ASSIGN_OR_RETURN(SegmentFileWriter::Summary summary,
                          WriteRelationSegments(
-                             name, col, dir + "/" + name + kSegmentFileExt,
+                             name, *col, dir + "/" + name + kSegmentFileExt,
                              segment_rows));
     (void)summary;
   }

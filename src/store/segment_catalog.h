@@ -75,7 +75,9 @@ class SegmentCatalog final : public ColumnarCatalog {
 
 /// Writes every relation of a row-engine catalog as `.gseg` files under
 /// `dir` (created if missing) — the generator → segments ingestion step
-/// used by gus_ingest and the tests.
+/// used by gus_ingest and the tests. Reads each relation's memoized
+/// columnar form (Relation::Columnar), so ingest and an in-memory
+/// ColumnarCatalog over the same catalog share one conversion.
 Status WriteCatalogSegments(const Catalog& catalog, const std::string& dir,
                             int64_t segment_rows = kDefaultSegmentRows);
 

@@ -1,12 +1,15 @@
 // Tests for the columnar layer: lossless Relation <-> ColumnarRelation
-// round trips (randomized property test), dictionary interning, vectorized
+// round trips (randomized property test), dictionary interning, the
+// per-relation columnar-form memo (Relation::Columnar), vectorized
 // expression evaluation parity with the row evaluator, and the streaming
 // estimation sinks (SampleViewBuilder, StreamingSboxEstimator) matching
 // their materializing counterparts exactly.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/tpch_gen.h"
@@ -23,6 +26,7 @@
 namespace gus {
 namespace {
 
+using ::gus::testing::MakeSingleTable;
 using ::gus::testing::MakeTinyJoin;
 
 Relation RandomRelation(Rng* rng, int num_cols, int lineage_arity,
@@ -118,6 +122,197 @@ TEST(ColumnarRoundTripTest, TypeMismatchSurfacesAsTypeError) {
   rel.AppendRow(Row{Value(1.5)}, LineageRow{0});
   EXPECT_STATUS_CODE(kTypeError,
                      ColumnarRelation::FromRelation(rel).status());
+}
+
+// ---- Columnar-form memo (Relation::Columnar) --------------------------------
+
+Row TinyRow(int64_t key, double v) { return Row{Value(key), Value(v)}; }
+
+Relation TinyBase() {
+  return Relation::MakeBase(
+      "T", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kFloat64}}),
+      {TinyRow(1, 1.5), TinyRow(2, 2.5), TinyRow(3, 3.5)});
+}
+
+// The last row of `form` decoded, for "contains the appended row" checks.
+Row LastRow(const ColumnarRelation& form) {
+  return form.data().RowAt(form.num_rows() - 1);
+}
+
+TEST(ColumnarMemoTest, RepeatedCallsShareOneForm) {
+  const Relation rel = TinyBase();
+  ASSERT_OK_AND_ASSIGN(auto first, rel.Columnar());
+  ASSERT_OK_AND_ASSIGN(auto second, rel.Columnar());
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(3, first->num_rows());
+  ExpectRelationsEqual(rel, first->ToRelation());
+}
+
+TEST(ColumnarMemoTest, AppendDropsTheForm) {
+  Relation rel = TinyBase();
+  ASSERT_OK_AND_ASSIGN(auto before, rel.Columnar());
+  rel.AppendRow(TinyRow(4, 4.5), LineageRow{3});
+  ASSERT_OK_AND_ASSIGN(auto after_append, rel.Columnar());
+  EXPECT_NE(before.get(), after_append.get());
+  EXPECT_EQ(3, before->num_rows());  // the old form is untouched
+  EXPECT_EQ(4, after_append->num_rows());
+  EXPECT_TRUE(LastRow(*after_append) == TinyRow(4, 4.5));
+
+  ASSERT_OK(rel.AppendRowChecked(TinyRow(5, 5.5), LineageRow{4}));
+  ASSERT_OK_AND_ASSIGN(auto after_checked, rel.Columnar());
+  EXPECT_NE(after_append.get(), after_checked.get());
+  EXPECT_EQ(5, after_checked->num_rows());
+  EXPECT_TRUE(LastRow(*after_checked) == TinyRow(5, 5.5));
+  ExpectRelationsEqual(rel, after_checked->ToRelation());
+
+  // A rejected append changes nothing, so the form survives it.
+  EXPECT_STATUS_CODE(kInvalidArgument,
+                     rel.AppendRowChecked(Row{Value(int64_t{6})}, {5}));
+  ASSERT_OK_AND_ASSIGN(auto after_rejected, rel.Columnar());
+  EXPECT_EQ(after_checked.get(), after_rejected.get());
+}
+
+TEST(ColumnarMemoTest, CatalogSnapshotOutlivesMutation) {
+  Catalog catalog;
+  catalog.emplace("T", TinyBase());
+  ColumnarCatalog snapshot(&catalog);
+  ASSERT_OK_AND_ASSIGN(const ColumnarRelation* old_form, snapshot.Get("T"));
+  ASSERT_OK_AND_ASSIGN(const uint64_t old_fp, snapshot.Fingerprint("T"));
+  EXPECT_EQ(ContentFingerprint("T", old_form->data()), old_fp);
+
+  catalog.at("T").AppendRow(TinyRow(4, 4.5), LineageRow{3});
+
+  // The relation serves a new form; the old one stays pinned and intact.
+  ASSERT_OK_AND_ASSIGN(auto new_form, catalog.at("T").Columnar());
+  EXPECT_NE(old_form, new_form.get());
+  ASSERT_OK_AND_ASSIGN(const ColumnarRelation* pinned, snapshot.Get("T"));
+  EXPECT_EQ(old_form, pinned);
+  EXPECT_EQ(3, pinned->num_rows());
+  EXPECT_TRUE(LastRow(*pinned) == TinyRow(3, 3.5));
+  // Its fingerprint still describes the snapshot, not the new content.
+  ASSERT_OK_AND_ASSIGN(const uint64_t pinned_fp, snapshot.Fingerprint("T"));
+  EXPECT_EQ(old_fp, pinned_fp);
+
+  ColumnarCatalog fresh(&catalog);
+  ASSERT_OK_AND_ASSIGN(const ColumnarRelation* fresh_form, fresh.Get("T"));
+  EXPECT_EQ(new_form.get(), fresh_form);
+  ASSERT_OK_AND_ASSIGN(const uint64_t fresh_fp, fresh.Fingerprint("T"));
+  EXPECT_NE(old_fp, fresh_fp);
+  EXPECT_EQ(ContentFingerprint("T", new_form->data()), fresh_fp);
+}
+
+TEST(ColumnarMemoTest, CopiesShareTheFormUntilTheyDiverge) {
+  const Relation original = TinyBase();
+  ASSERT_OK_AND_ASSIGN(auto form, original.Columnar());
+
+  Relation copy(original);
+  ASSERT_OK_AND_ASSIGN(auto copy_form, copy.Columnar());
+  EXPECT_EQ(form.get(), copy_form.get());
+
+  Relation assigned;
+  assigned = original;
+  ASSERT_OK_AND_ASSIGN(auto assigned_form, assigned.Columnar());
+  EXPECT_EQ(form.get(), assigned_form.get());
+
+  copy.AppendRow(TinyRow(4, 4.5), LineageRow{3});
+  assigned.AppendRow(TinyRow(5, 5.5), LineageRow{3});
+  ASSERT_OK_AND_ASSIGN(auto original_form, original.Columnar());
+  EXPECT_EQ(form.get(), original_form.get());
+  EXPECT_EQ(3, original.num_rows());
+  EXPECT_EQ(3, original_form->num_rows());
+  ASSERT_OK_AND_ASSIGN(auto diverged, copy.Columnar());
+  EXPECT_EQ(4, diverged->num_rows());
+  EXPECT_TRUE(LastRow(*diverged) == TinyRow(4, 4.5));
+  ASSERT_OK_AND_ASSIGN(auto diverged_assigned, assigned.Columnar());
+  EXPECT_TRUE(LastRow(*diverged_assigned) == TinyRow(5, 5.5));
+}
+
+TEST(ColumnarMemoTest, MovedFromRelationStillWorks) {
+  Relation source = TinyBase();
+  ASSERT_OK_AND_ASSIGN(auto form, source.Columnar());
+  Relation moved(std::move(source));
+  ASSERT_OK_AND_ASSIGN(auto moved_form, moved.Columnar());
+  EXPECT_EQ(form.get(), moved_form.get());
+
+  // NOLINTNEXTLINE(bugprone-use-after-move): the documented moved-from state
+  EXPECT_EQ(0, source.num_rows());
+  ASSERT_OK_AND_ASSIGN(auto emptied, source.Columnar());
+  EXPECT_EQ(0, emptied->num_rows());
+  EXPECT_TRUE(emptied->schema() == moved.schema());
+  source.AppendRow(TinyRow(7, 7.5), LineageRow{0});
+  ASSERT_OK_AND_ASSIGN(auto refilled, source.Columnar());
+  EXPECT_EQ(1, refilled->num_rows());
+  EXPECT_TRUE(LastRow(*refilled) == TinyRow(7, 7.5));
+  EXPECT_EQ(3, moved_form->num_rows());
+
+  Relation target;
+  target = std::move(moved);
+  ASSERT_OK_AND_ASSIGN(auto target_form, target.Columnar());
+  EXPECT_EQ(form.get(), target_form.get());
+  ASSERT_OK_AND_ASSIGN(auto emptied_again, moved.Columnar());
+  EXPECT_EQ(0, emptied_again->num_rows());
+  moved.AppendRow(TinyRow(8, 8.5), LineageRow{0});
+  ASSERT_OK_AND_ASSIGN(auto moved_again, moved.Columnar());
+  EXPECT_EQ(1, moved_again->num_rows());
+}
+
+TEST(ColumnarMemoTest, TypeErrorIsMemoizedToo) {
+  Relation rel(Schema({{"x", ValueType::kInt64}}), {"R"});
+  rel.AppendRow(Row{Value(1.5)}, LineageRow{0});
+  const Status first = rel.Columnar().status();
+  EXPECT_STATUS_CODE(kTypeError, first);
+  for (int i = 0; i < 3; ++i) {
+    const Status again = rel.Columnar().status();
+    EXPECT_EQ(first.code(), again.code());
+    EXPECT_EQ(first.message(), again.message());
+  }
+  EXPECT_EQ(first.message(),
+            ColumnarRelation::FromRelation(rel).status().message());
+}
+
+TEST(ColumnarMemoTest, ConcurrentFirstUseConvertsOnce) {
+  constexpr int kReaders = 8;
+  constexpr int kCopiers = 4;
+  Catalog catalog;
+  catalog.emplace("T", MakeSingleTable(20000, "T"));
+  const Relation& shared = catalog.at("T");
+
+  std::vector<const ColumnarRelation*> got(kReaders, nullptr);
+  std::vector<uint64_t> fingerprints(kReaders, 0);
+  std::vector<Relation> copies(kCopiers);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      ColumnarCatalog own(&catalog);
+      auto form = own.Get("T");
+      auto fp = own.Fingerprint("T");
+      if (form.ok() && fp.ok()) {
+        got[t] = *form;
+        fingerprints[t] = *fp;
+      }
+    });
+  }
+  // Copiers read the memo while the readers write it.
+  for (int t = 0; t < kCopiers; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 20; ++i) {
+        Relation copy(shared);
+        copies[t] = copy;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  // One conversion: every reader pinned the relation's single form.
+  ASSERT_OK_AND_ASSIGN(auto form, shared.Columnar());
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(form.get(), got[t]) << "reader " << t;
+    EXPECT_EQ(ContentFingerprint("T", form->data()), fingerprints[t]);
+  }
+  for (const Relation& copy : copies) {
+    ASSERT_OK_AND_ASSIGN(auto copy_form, copy.Columnar());
+    ExpectRelationsEqual(shared, copy_form->ToRelation());
+  }
 }
 
 // ---- Vectorized expression evaluation --------------------------------------

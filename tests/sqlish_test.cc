@@ -248,6 +248,61 @@ TEST_F(PlannerTest, UnsampledQueryIsExact) {
   EXPECT_NEAR(0.0, result.values[0].stddev, 1e-9);
 }
 
+// A relation mutated after a query must not serve the columnar form that
+// query converted (Relation::Columnar drops its memo on AppendRow).
+TEST_F(PlannerTest, AppendedRowIsSeenByTheNextQuery) {
+  // The exact query counts every row, so the appended row must show up;
+  // the sampled one only has to match a catalog built with the row.
+  const char* kExact = "SELECT SUM(o_totalprice), COUNT(*) FROM o";
+  const char* kSampled =
+      "SELECT SUM(o_totalprice) FROM o TABLESAMPLE (50 PERCENT)";
+  const Relation& orders = catalog_.at("o");
+  Row extra = orders.row(0);
+  ASSERT_OK_AND_ASSIGN(const int price,
+                       orders.schema().IndexOf("o_totalprice"));
+  extra[price] = Value(1.0e6);
+  const LineageRow extra_lineage = {static_cast<uint64_t>(orders.num_rows())};
+
+  Catalog fresh = data_.MakeCatalog();
+  fresh.at("o").AppendRow(extra, extra_lineage);
+
+  for (const ExecEngine engine :
+       {ExecEngine::kColumnar, ExecEngine::kMorselParallel}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    ExecOptions exec;
+    exec.engine = engine;
+    exec.num_threads = 2;
+    for (const char* sql : {kExact, kSampled}) {
+      SCOPED_TRACE(sql);
+      Catalog catalog = data_.MakeCatalog();
+      ASSERT_OK_AND_ASSIGN(ApproxResult before,
+                           RunApproxQuery(sql, catalog, 11, {}, exec));
+      catalog.at("o").AppendRow(extra, extra_lineage);
+      ASSERT_OK_AND_ASSIGN(ApproxResult after,
+                           RunApproxQuery(sql, catalog, 11, {}, exec));
+      ASSERT_OK_AND_ASSIGN(ApproxResult want,
+                           RunApproxQuery(sql, fresh, 11, {}, exec));
+      EXPECT_EQ(want.sample_rows, after.sample_rows);
+      ASSERT_EQ(want.values.size(), after.values.size());
+      for (size_t i = 0; i < want.values.size(); ++i) {
+        EXPECT_EQ(want.values[i].value, after.values[i].value);
+        EXPECT_EQ(want.values[i].lo, after.values[i].lo);
+        EXPECT_EQ(want.values[i].hi, after.values[i].hi);
+      }
+      // Step-one results differ wherever the new row made the sample.
+      if (after.sample_rows != before.sample_rows) {
+        EXPECT_NE(before.values[0].value, after.values[0].value);
+      }
+      if (sql == kExact) {
+        EXPECT_EQ(before.sample_rows + 1, after.sample_rows);
+        EXPECT_NEAR(before.values[0].value + 1.0e6, after.values[0].value,
+                    1e-9 * after.values[0].value);
+        EXPECT_EQ(before.values[1].value + 1.0, after.values[1].value);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sqlish
 }  // namespace gus
