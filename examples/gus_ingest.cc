@@ -7,6 +7,12 @@
 //   gus_ingest csv  <out_dir> <name=path.csv> [more name=path...]
 //                             [--segment-rows=N] [--no-header]
 //   gus_ingest info <dir>     # list relations, segments, fingerprints
+//   gus_ingest verify <dir>   # decode every segment (checksums) and
+//                             # recompute every content fingerprint
+//
+// verify exits 1 on the first relation whose pages fail their checksums
+// or whose recomputed fingerprint differs from the header's; info only
+// re-opens the files (headers and directories), it never reads a page.
 //
 // The written directory is a drop-in catalog: SegmentCatalog::Open(dir)
 // serves every engine (see ARCHITECTURE.md "Storage layer").
@@ -57,7 +63,8 @@ int Usage() {
       "                            [--parts=N] [--seed=S] [--segment-rows=N]\n"
       "  gus_ingest csv  <out_dir> <name=path.csv>... [--segment-rows=N]\n"
       "                            [--no-header]\n"
-      "  gus_ingest info <dir>\n");
+      "  gus_ingest info <dir>\n"
+      "  gus_ingest verify <dir>\n");
   return 2;
 }
 
@@ -76,6 +83,29 @@ int RunInfo(const std::string& dir) {
   return 0;
 }
 
+int RunVerify(const std::string& dir) {
+  auto catalog = Unwrap(gus::SegmentCatalog::Open(dir));
+  for (const std::string& name : catalog->RelationNames()) {
+    const gus::StoredRelation* rel = Unwrap(catalog->Stored(name));
+    for (int64_t s = 0; s < rel->num_segments(); ++s) {
+      Check(rel->DecodeSegment(s).status());
+    }
+    const uint64_t fingerprint = Unwrap(rel->ComputeContentFingerprint());
+    if (fingerprint != rel->content_fingerprint()) {
+      std::fprintf(stderr,
+                   "gus_ingest: '%s' content fingerprint %016llx does not "
+                   "match its header (%016llx)\n",
+                   name.c_str(), static_cast<unsigned long long>(fingerprint),
+                   static_cast<unsigned long long>(rel->content_fingerprint()));
+      return 1;
+    }
+    std::printf("%-12s %6lld segments verified, fingerprint %016llx\n",
+                name.c_str(), static_cast<long long>(rel->num_segments()),
+                static_cast<unsigned long long>(fingerprint));
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -84,6 +114,7 @@ int main(int argc, char** argv) {
   const std::string dir = argv[2];
 
   if (cmd == "info") return RunInfo(dir);
+  if (cmd == "verify") return RunVerify(dir);
 
   int64_t segment_rows = gus::kDefaultSegmentRows;
   for (int i = 3; i < argc; ++i) {

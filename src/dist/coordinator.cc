@@ -140,7 +140,7 @@ Result<FaultTolerantResult> FoldShardBundles(
     const std::vector<int>& shard_ids,
     const std::vector<const std::string*>& bundles, int num_shards,
     const std::string& pivot_relation,
-    const std::vector<std::pair<int, std::string>>& failed,
+    const std::vector<std::pair<int, std::string>>& failed, ExecStats* stats,
     bool capture_merged_state = false) {
   GUS_RETURN_NOT_OK(FaultInjector::Global()->Hit("coordinator.gather"));
   if (shard_ids.empty()) {
@@ -179,7 +179,9 @@ Result<FaultTolerantResult> FoldShardBundles(
     // Captured *before* Finish: round-trip bit-exactness means a later
     // DeserializeState + Finish reproduces out.report to the last bit.
     if (capture_merged_state) out.merged_sbox_state = merged.SerializeState();
-    GUS_ASSIGN_OR_RETURN(out.report, merged.Finish());
+    GUS_ASSIGN_OR_RETURN(out.report, TimeEstimate(stats, [&merged] {
+                           return merged.Finish();
+                         }));
     return out;
   };
 
@@ -274,11 +276,11 @@ Result<FaultTolerantResult> FoldShardBundles(
   for (size_t idx : bearing_state_index) {
     bearing_states.push_back(std::move(states[idx]));
   }
-  GUS_ASSIGN_OR_RETURN(
-      out.report,
-      StreamingSboxEstimator::FinishDegraded(std::move(bearing_states),
-                                             survival, surviving_bearing,
-                                             total_bearing));
+  GUS_ASSIGN_OR_RETURN(out.report, TimeEstimate(stats, [&] {
+                         return StreamingSboxEstimator::FinishDegraded(
+                             std::move(bearing_states), survival,
+                             surviving_bearing, total_bearing);
+                       }));
   out.degraded = true;
   out.live.pivot_relation = pivot_relation;
   out.live.total_shards = static_cast<uint32_t>(num_shards);
@@ -369,7 +371,7 @@ Result<FaultTolerantResult> FoldShardOutcomes(
   GUS_ASSIGN_OR_RETURN(
       FaultTolerantResult result,
       FoldShardBundles(shard_ids, bundles, num_shards, pivot_relation, failed,
-                       capture_merged_state && failed.empty()));
+                       stats, capture_merged_state && failed.empty()));
   if (stats != nullptr) {
     stats->degraded = result.degraded;
     stats->effective_coverage =

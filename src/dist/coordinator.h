@@ -195,7 +195,8 @@ Result<FaultTolerantResult> GatherSboxEstimatePartial(
 /// set; then the survivors fold through est/partial_gather (or the fold
 /// fails when a CI would be fabricated). A complete set folds exactly like
 /// GatherSboxEstimate. `stats`, when set, receives the counters, the lost
-/// shards, and the degradation (it is not reset). With
+/// shards, the degradation and the estimator Finish time (estimate_ms; it
+/// is not reset). With
 /// `capture_merged_state`, a complete fold also serializes the merged
 /// pre-Finish estimator state into FaultTolerantResult::merged_sbox_state
 /// (the view-cache payload). Every supervisor folding through this one

@@ -9,6 +9,7 @@
 #include "est/variance.h"
 #include "est/wire.h"
 #include "est/ys.h"
+#include "plan/exec_stats.h"
 #include "plan/parallel_executor.h"
 #include "plan/vector_eval.h"
 #include "util/hash.h"
@@ -554,7 +555,9 @@ Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
             new SboxEstimatorSink(std::move(est)));
       },
       &sink));
-  return static_cast<SboxEstimatorSink*>(sink.get())->estimator()->Finish();
+  StreamingSboxEstimator* est =
+      static_cast<SboxEstimatorSink*>(sink.get())->estimator();
+  return TimeEstimate(exec.stats, [est] { return est->Finish(); });
 }
 
 Result<SboxReport> EstimatePlanStreaming(const PlanPtr& plan,

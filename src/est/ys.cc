@@ -1,8 +1,8 @@
 #include "est/ys.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
-#include <unordered_map>
 
 #include "util/hash.h"
 
@@ -22,6 +22,40 @@ uint64_t ProjectedKey(const SampleView& view, SubsetMask mask, int64_t i) {
   return h;
 }
 
+/// \brief Calls `on_row(i, g)` for every row i in order, where g is the
+/// dense id of row i's S-projection group.
+///
+/// Group ids are assigned in first-occurrence order, so callers keep dense
+/// per-group sums and fold them in that order: deterministic and
+/// independent of any standard-library hash container. Open addressing
+/// with linear probing on the 64-bit ProjectedKey, so the groups are the
+/// key-equality classes (what a hash map keyed by ProjectedKey forms).
+/// The table holds at least twice as many slots as rows, so it is at most
+/// half full.
+template <typename OnRow>
+void ForEachProjectedGroup(const SampleView& view, SubsetMask mask,
+                           OnRow on_row) {
+  struct Slot {
+    uint64_t key = 0;
+    int64_t group = -1;  // -1: empty
+  };
+  const int64_t rows = view.num_rows();
+  const size_t capacity =
+      std::bit_ceil(static_cast<size_t>(std::max<int64_t>(8, 2 * rows)));
+  std::vector<Slot> slots(capacity);
+  const size_t slot_mask = capacity - 1;
+  int64_t groups = 0;
+  for (int64_t i = 0; i < rows; ++i) {
+    const uint64_t key = ProjectedKey(view, mask, i);
+    size_t at = static_cast<size_t>(key) & slot_mask;
+    while (slots[at].group >= 0 && slots[at].key != key) {
+      at = (at + 1) & slot_mask;
+    }
+    if (slots[at].group < 0) slots[at] = {key, groups++};
+    on_row(i, slots[at].group);
+  }
+}
+
 }  // namespace
 
 double ComputeYS(const SampleView& view, SubsetMask mask) {
@@ -32,13 +66,13 @@ double ComputeYS(const SampleView& view, SubsetMask mask) {
   // Note: even the full mask must group by lineage — block-sampled
   // relations share a lineage id across all rows of a block, so agreement
   // on the entire lineage schema does not imply row identity.
-  std::unordered_map<uint64_t, double> groups;
-  groups.reserve(static_cast<size_t>(view.num_rows()));
-  for (int64_t i = 0; i < view.num_rows(); ++i) {
-    groups[ProjectedKey(view, mask, i)] += view.f[i];
-  }
+  std::vector<double> sums;
+  ForEachProjectedGroup(view, mask, [&](int64_t i, int64_t g) {
+    if (g == static_cast<int64_t>(sums.size())) sums.push_back(0.0);
+    sums[static_cast<size_t>(g)] += view.f[i];
+  });
   double y = 0.0;
-  for (const auto& [key, sum] : groups) y += sum * sum;
+  for (const double sum : sums) y += sum * sum;
   return y;
 }
 
@@ -53,15 +87,17 @@ Result<double> ComputeYSBilinear(const SampleView& view,
     double sg = std::accumulate(g.begin(), g.end(), 0.0);
     return sf * sg;
   }
-  std::unordered_map<uint64_t, std::pair<double, double>> groups;
-  groups.reserve(static_cast<size_t>(view.num_rows()));
-  for (int64_t i = 0; i < view.num_rows(); ++i) {
-    auto& acc = groups[ProjectedKey(view, mask, i)];
-    acc.first += view.f[i];
-    acc.second += g[i];
-  }
+  std::vector<double> sums_f, sums_g;
+  ForEachProjectedGroup(view, mask, [&](int64_t i, int64_t group) {
+    if (group == static_cast<int64_t>(sums_f.size())) {
+      sums_f.push_back(0.0);
+      sums_g.push_back(0.0);
+    }
+    sums_f[static_cast<size_t>(group)] += view.f[i];
+    sums_g[static_cast<size_t>(group)] += g[i];
+  });
   double y = 0.0;
-  for (const auto& [key, sums] : groups) y += sums.first * sums.second;
+  for (size_t k = 0; k < sums_f.size(); ++k) y += sums_f[k] * sums_g[k];
   return y;
 }
 

@@ -21,10 +21,16 @@
 
 namespace gus {
 
-/// y_S for a single agreement mask (hash grouping).
+/// \brief y_S for a single agreement mask (hash grouping).
+///
+/// Groups are folded in first-occurrence order over the view's rows, so
+/// the value is a deterministic function of the view (its row order
+/// included), independent of hash-table layout.
 double ComputeYS(const SampleView& view, SubsetMask mask);
 
-/// Bilinear y_S^{f,g}; `g` must have the same length as view.f.
+/// Bilinear y_S^{f,g}; `g` must have the same length as view.f. Same
+/// grouping and fold order as ComputeYS, so ComputeYSBilinear(view,
+/// view.f, mask) equals ComputeYS(view, mask) bit for bit.
 Result<double> ComputeYSBilinear(const SampleView& view,
                                  const std::vector<double>& g,
                                  SubsetMask mask);
@@ -39,7 +45,8 @@ Result<std::vector<double>> ComputeAllYSBilinear(const SampleView& view,
 /// \brief Sort-based alternative for a single mask.
 ///
 /// Sorts row indexes by the projected lineage key instead of hashing;
-/// identical results, different constant factors — the A2 ablation bench
+/// the same groups folded in key order, so results agree with ComputeYS
+/// up to rounding, at different constant factors — the A2 ablation bench
 /// compares the two.
 double ComputeYSSorted(const SampleView& view, SubsetMask mask);
 

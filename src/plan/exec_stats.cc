@@ -21,6 +21,9 @@ std::string ExecStats::ToString(const std::string& label) const {
   out << "  parallel   " << parallel_ms << " ms  (sink fold " << sink_fold_ms
       << " ms inside)\n";
   out << "  gather     " << gather_ms << " ms\n";
+  if (estimate_ms > 0.0) {
+    out << "  estimate   " << estimate_ms << " ms  (after total)\n";
+  }
   out << "  pivot      " << pivot_rows << " rows -> " << morsels
       << " morsels x " << morsel_rows << " rows\n";
   out << "  emitted    " << rows_emitted << " rows, " << bytes_moved

@@ -16,6 +16,7 @@
 #ifndef GUS_PLAN_EXEC_STATS_H_
 #define GUS_PLAN_EXEC_STATS_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -48,6 +49,10 @@ struct ExecStats {
   double gather_ms = 0.0;
   /// Whole engine call, wall time.
   double total_ms = 0.0;
+  /// Estimator Finish (y_S statistics, variance and interval), wall time.
+  /// Set by EstimatePlanParallel and by the sharded gather's fold; it
+  /// follows the engine call, so it is not inside total_ms.
+  double estimate_ms = 0.0;
 
   // ---- Work accounting ----
   int64_t pivot_rows = 0;  ///< rows of the partitioned pivot scan
@@ -109,6 +114,19 @@ struct ExecStats {
   /// `label` names the query in the header line (empty = none).
   std::string ToString(const std::string& label = "") const;
 };
+
+/// \brief Runs `finish()` (an estimator Finish) and, when `stats` is set,
+/// stores its wall time in stats->estimate_ms.
+template <typename Fn>
+auto TimeEstimate(ExecStats* stats, Fn&& finish) -> decltype(finish()) {
+  if (stats == nullptr) return finish();
+  const auto start = std::chrono::steady_clock::now();
+  auto result = finish();
+  stats->estimate_ms = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  return result;
+}
 
 /// True when the GUS_PROFILE environment variable asks for per-query
 /// profile dumps (set to anything but "" or "0"). Read once per process.

@@ -20,7 +20,9 @@ namespace gus {
 namespace {
 
 constexpr uint32_t kMagic = 0x47455347u;  // "GSEG" little-endian
-constexpr uint32_t kVersion = 1;
+// Version 2: page checksums are PageChecksum chains (version 1 used
+// byte-serial FNV-1a). There is one reader; older files are refused.
+constexpr uint32_t kVersion = 2;
 constexpr uint64_t kHeaderBytes = 96;
 
 Status RequireLittleEndian() {
@@ -34,6 +36,20 @@ Status RequireLittleEndian() {
 
 uint64_t HashStringContent(uint64_t h, const std::string& s) {
   return HashBytes(HashCombine(h, s.size()), s.data(), s.size());
+}
+
+/// The segment checksum: PageChecksum chained over the column pages in
+/// order, then the lineage page. `base` holds the bytes at file offset
+/// `base_offset` (the mapped file for a reader, the segment's page buffer
+/// for the writer), so both sides run the same chain.
+uint64_t SegmentChecksum(const uint8_t* base, uint64_t base_offset,
+                         const SegmentInfo& seg) {
+  uint64_t sum = 0;
+  for (const auto& [offset, bytes] : seg.column_pages) {
+    sum = PageChecksum(sum, base + (offset - base_offset), bytes);
+  }
+  return PageChecksum(sum, base + (seg.lineage_page.first - base_offset),
+                      seg.lineage_page.second);
 }
 
 // ---- Flat little-endian serialization ----
@@ -356,13 +372,7 @@ Result<ColumnBatch> StoredRelation::DecodeSegment(int64_t s) const {
 
   // Verify before decoding: a flipped bit anywhere in the segment's pages
   // fails loudly instead of silently skewing an estimate.
-  uint64_t sum = kFnv1aOffset;
-  for (const auto& page : seg.column_pages) {
-    sum = HashBytes(sum, base_ + page.first, page.second);
-  }
-  sum = HashBytes(sum, base_ + seg.lineage_page.first,
-                  seg.lineage_page.second);
-  if (sum != seg.checksum) {
+  if (SegmentChecksum(base_, 0, seg) != seg.checksum) {
     return Status::Internal("segment " + std::to_string(s) + " of '" +
                             name_ + "' failed its checksum (corrupt file?)");
   }
@@ -513,7 +523,6 @@ Status SegmentFileWriter::FlushSegment() {
   seg.column_pages.resize(layout_->schema.num_columns());
 
   std::string pages;
-  uint64_t checksum = kFnv1aOffset;
   std::vector<uint32_t> code_scratch;
   for (int c = 0; c < layout_->schema.num_columns(); ++c) {
     const ColumnData& col = pending_.column(c);
@@ -584,8 +593,8 @@ Status SegmentFileWriter::FlushSegment() {
     }
     seg.lineage_range[dim] = {lo, hi};
   }
-  checksum = HashBytes(checksum, pages.data(), pages.size());
-  seg.checksum = checksum;
+  seg.checksum = SegmentChecksum(
+      reinterpret_cast<const uint8_t*>(pages.data()), next_page_offset_, seg);
   seg.page_bytes = static_cast<int64_t>(pages.size());
 
   GUS_RETURN_NOT_OK(WriteAll(file_, pages.data(), pages.size()));

@@ -15,8 +15,8 @@
 //   | meta       relation name, schema, lineage schema, global     |
 //   |            string dictionary                                 |
 //   +--------------------------------------------------------------+
-//   | directory  per segment: row range, FNV checksum over its     |
-//   |            pages, per-column page extents + zone map         |
+//   | directory  per segment: row range, PageChecksum chain over   |
+//   |            its pages, per-column page extents + zone map     |
 //   |            (min/max, null count), per-dim lineage id range   |
 //   +--------------------------------------------------------------+
 //
@@ -31,6 +31,14 @@
 // rel/column_batch.h ContentFingerprint, so a SegmentCatalog and an
 // in-memory ColumnarCatalog holding the same rows agree byte-for-byte —
 // the shard/serving protocols cannot tell the difference.
+//
+// Every fault verifies every byte of the segment's pages against the
+// directory checksum: kernels/page_codec.h PageChecksum (word-wide,
+// xxHash64-style lanes) chained over the column pages in order, then the
+// lineage page. This is format version 2; version-1 files (byte-serial
+// FNV-1a checksums) fail to Open as an unsupported version. FNV-1a
+// (util/hash.h HashBytes) remains the hash of the content fingerprint's
+// string chain, which the wire protocols compare.
 //
 // Pages are raw little-endian; the store refuses to open or create files
 // on big-endian hosts (Status::NotImplemented) instead of byte-swapping.
@@ -84,8 +92,9 @@ struct ColumnZone {
 struct SegmentInfo {
   int64_t row_begin = 0;
   int64_t row_count = 0;
-  /// FNV-1a over the segment's raw page bytes (columns in order, then
-  /// lineage); verified on every decode so corruption fails loudly.
+  /// PageChecksum chained over the segment's raw pages (columns in order,
+  /// then lineage, seed 0); verified on every decode so corruption fails
+  /// loudly.
   uint64_t checksum = 0;
   std::vector<ColumnZone> zones;  ///< per column
   /// Per-column (file offset, byte length) of the value page.

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <vector>
+
 #include "est/ys.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -61,18 +65,36 @@ TEST(YsTest, EmptyViewAllZero) {
 }
 
 TEST(YsTest, SortedVariantMatchesHashed) {
-  Rng rng(42);
-  SampleView v;
-  v.schema = LineageSchema::Make({"A", "B", "C"}).ValueOrDie();
-  v.lineage.assign(3, {});
-  for (int i = 0; i < 500; ++i) {
-    v.lineage[0].push_back(rng.UniformInt(uint64_t{13}));
-    v.lineage[1].push_back(rng.UniformInt(uint64_t{7}));
-    v.lineage[2].push_back(rng.UniformInt(uint64_t{29}));
-    v.f.push_back(rng.Uniform(-2.0, 2.0));
-  }
-  for (SubsetMask m = 0; m < 8; ++m) {
-    EXPECT_NEAR(ComputeYS(v, m), ComputeYSSorted(v, m), 1e-9) << "mask " << m;
+  // ~200k rows in block-sample style: every dimension's lineage id repeats
+  // over runs of consecutive rows (a sampled block shares one id), so
+  // groups hold many rows under every mask. Hash and sort grouping form
+  // the same groups but fold them in different orders, hence the relative
+  // tolerance.
+  constexpr int kRows = 200000;
+  for (int arity = 1; arity <= 3; ++arity) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    Rng rng(42 + static_cast<uint64_t>(arity));
+    SampleView v;
+    std::vector<std::string> dims = {"A", "B", "C"};
+    dims.resize(static_cast<size_t>(arity));
+    v.schema = LineageSchema::Make(dims).ValueOrDie();
+    v.lineage.assign(static_cast<size_t>(arity), {});
+    for (int d = 0; d < arity; ++d) {
+      const uint64_t blocks = uint64_t{1} << (6 + 4 * d);
+      uint64_t id = 0;
+      for (int i = 0; i < kRows; ++i) {
+        if (i == 0 || rng.UniformInt(uint64_t{8}) == 0) {
+          id = rng.UniformInt(blocks);  // start a new block run
+        }
+        v.lineage[static_cast<size_t>(d)].push_back(id);
+      }
+    }
+    for (int i = 0; i < kRows; ++i) v.f.push_back(rng.Uniform(-2.0, 2.0));
+    for (SubsetMask m = 0; m < v.schema.num_subsets(); ++m) {
+      const double hashed = ComputeYS(v, m);
+      const double sorted = ComputeYSSorted(v, m);
+      EXPECT_NEAR(hashed, sorted, 1e-9 * std::abs(sorted)) << "mask " << m;
+    }
   }
 }
 
@@ -96,11 +118,46 @@ TEST(YsTest, YsMonotoneUnderRefinement) {
 }
 
 TEST(YsBilinearTest, DiagonalEqualsQuadratic) {
+  // Both forms group through one helper and fold in one order, so the
+  // diagonal is bit-identical, not merely close.
   SampleView v = MakeHandView();
+  Rng rng(44);
+  for (int i = 0; i < 1000; ++i) {
+    v.lineage[0].push_back(rng.UniformInt(uint64_t{17}));
+    v.lineage[1].push_back(rng.UniformInt(uint64_t{5}));
+    v.f.push_back(rng.Uniform(-3.0, 3.0));
+  }
   for (SubsetMask m = 0; m < 4; ++m) {
     ASSERT_OK_AND_ASSIGN(double bl, ComputeYSBilinear(v, v.f, m));
-    EXPECT_DOUBLE_EQ(ComputeYS(v, m), bl);
+    EXPECT_EQ(ComputeYS(v, m), bl) << "mask " << m;
   }
+}
+
+TEST(YsTest, GroupsFoldInFirstOccurrenceOrder) {
+  // One dimension, groups interleaved so first-occurrence order (7, 3, 9,
+  // 5, 1) is neither key order nor any hash order. Group sums: 1 for the
+  // first group, 2^-27 for the other four. Squares: 1 and four 2^-54.
+  // Folded first-occurrence, each 2^-54 is absorbed by 1 (below half an
+  // ulp), giving exactly 1; folding the small squares first would give
+  // 1 + 2^-52.
+  const double tiny = std::ldexp(1.0, -27);
+  SampleView v;
+  v.schema = LineageSchema::Make({"A"}).ValueOrDie();
+  v.lineage = {{7, 3, 9, 7, 5, 1, 3}};
+  v.f = {0.5, tiny / 2, tiny, 0.5, tiny, tiny, tiny / 2};
+  EXPECT_EQ(1.0, ComputeYS(v, 0b1));
+
+  // Bilinear: group products 1e17, -1e17, 1 in first-occurrence order
+  // (keys 4, 8, 2). The large terms cancel first, so the fold is exactly
+  // 1; key order or reverse order adds 1 to a large term first, where it
+  // is lost (1e17 + 1 rounds back to 1e17), and gives 0.
+  SampleView w;
+  w.schema = LineageSchema::Make({"A"}).ValueOrDie();
+  w.lineage = {{4, 8, 2, 4}};
+  w.f = {0.5e17, -1e17, 1.0, 0.5e17};
+  const std::vector<double> g = {0.5, 1.0, 1.0, 0.5};
+  ASSERT_OK_AND_ASSIGN(double y, ComputeYSBilinear(w, g, 0b1));
+  EXPECT_EQ(1.0, y);
 }
 
 TEST(YsBilinearTest, WithOnesGivesCountCrossTerm) {

@@ -14,6 +14,7 @@
 #include "algebra/translate.h"
 #include "data/tpch_gen.h"
 #include "data/workload.h"
+#include "dist/coordinator.h"
 #include "est/sbox.h"
 #include "est/streaming.h"
 #include "plan/columnar_executor.h"
@@ -554,6 +555,60 @@ TEST(ParallelExecutorTest, SinkArenaRecyclingKeepsEstimatesBitIdentical) {
     EXPECT_EQ(baseline.sample_rows, report.sample_rows);
     EXPECT_EQ(baseline.variance_rows, report.variance_rows);
   }
+}
+
+TEST(ParallelExecutorTest, EstimateTimeIsRecordedAndChangesNothing) {
+  // estimate_ms times the estimator Finish after the engine call; turning
+  // the stats on must not move a bit of the report, in-process or through
+  // the sharded gather's fold.
+  Catalog catalog = MakeTinyJoin(80, 4).MakeCatalog();
+  ColumnarCatalog columnar(&catalog);
+  PlanPtr plan = BernoulliJoinPlan();
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(plan));
+  SboxOptions options;
+  options.subsample = SubsampleConfig{};
+  options.subsample->target_rows = 50;
+  const auto expect_same = [](const SboxReport& a, const SboxReport& b) {
+    EXPECT_EQ(a.estimate, b.estimate);
+    EXPECT_EQ(a.variance, b.variance);
+    EXPECT_EQ(a.interval.lo, b.interval.lo);
+    EXPECT_EQ(a.interval.hi, b.interval.hi);
+    EXPECT_EQ(a.sample_rows, b.sample_rows);
+    EXPECT_EQ(a.variance_rows, b.variance_rows);
+    EXPECT_EQ(a.y_hat, b.y_hat);
+  };
+
+  Rng rng_off(21);
+  ASSERT_OK_AND_ASSIGN(
+      SboxReport off,
+      EstimatePlanParallel(plan, &columnar, &rng_off, Col("v"), soa.top,
+                           options, ExecMode::kSampled, MorselOptions(4)));
+  ExecOptions exec = MorselOptions(4);
+  ExecStats stats;
+  exec.stats = &stats;
+  Rng rng_on(21);
+  ASSERT_OK_AND_ASSIGN(
+      SboxReport on,
+      EstimatePlanParallel(plan, &columnar, &rng_on, Col("v"), soa.top,
+                           options, ExecMode::kSampled, exec));
+  EXPECT_GT(stats.estimate_ms, 0.0);
+  expect_same(off, on);
+
+  ExecOptions sharded = MorselOptions(2);
+  ASSERT_OK_AND_ASSIGN(
+      FaultTolerantResult shard_off,
+      FaultTolerantShardedSboxEstimate(plan, catalog, 21, ExecMode::kSampled,
+                                       sharded, /*num_shards=*/3, Col("v"),
+                                       soa.top, options));
+  ExecStats shard_stats;
+  sharded.stats = &shard_stats;
+  ASSERT_OK_AND_ASSIGN(
+      FaultTolerantResult shard_on,
+      FaultTolerantShardedSboxEstimate(plan, catalog, 21, ExecMode::kSampled,
+                                       sharded, /*num_shards=*/3, Col("v"),
+                                       soa.top, options));
+  EXPECT_GT(shard_stats.estimate_ms, 0.0);
+  expect_same(shard_off.report, shard_on.report);
 }
 
 TEST(ParallelExecutorTest, PlacementKnobDoesNotChangeResults) {

@@ -303,6 +303,119 @@ TEST(SegmentCacheTest, ChecksumCorruptionFailsLoudly) {
   EXPECT_FALSE(cache.Fault(*reopened, 0).ok());
 }
 
+/// Flips bit `bit` of the byte at `offset` of the file at `path`.
+void FlipBit(const std::string& path, uint64_t offset, int bit) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  f.seekg(static_cast<std::streamoff>(offset));
+  char byte = 0;
+  f.read(&byte, 1);
+  byte = static_cast<char>(byte ^ (1 << bit));
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(&byte, 1);
+  ASSERT_TRUE(f.good());
+}
+
+TEST(SegmentCacheTest, EverySingleBitFlipInEveryPageIsDetected) {
+  // 17 rows in segments of 7: two full segments and a short one. A 7-row
+  // int64/float64/lineage page is 56 bytes (one full 32-byte checksum
+  // stride plus a 24-byte word tail), a string-code page is 28 bytes (tail
+  // only, ending in a 4-byte byte tail), and the short segment's pages are
+  // 24 and 12 bytes.
+  std::vector<Row> rows;
+  for (int i = 0; i < 17; ++i) {
+    rows.push_back(Row{Value(int64_t{1000 + 37 * i}), Value(0.25 * i - 1.0),
+                       Value(i % 3 == 0 ? "alpha" : "beta")});
+  }
+  Relation rel = Relation::MakeBase(
+      "tiny",
+      Schema({{"k", ValueType::kInt64},
+              {"x", ValueType::kFloat64},
+              {"s", ValueType::kString}}),
+      std::move(rows));
+  ASSERT_OK_AND_ASSIGN(ColumnarRelation crel,
+                       ColumnarRelation::FromRelation(rel));
+  const std::string dir = FreshDir("bitflip");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/tiny.gseg";
+  ASSERT_OK(WriteRelationSegments("tiny", crel, path, /*segment_rows=*/7)
+                .status());
+
+  std::vector<std::pair<uint64_t, uint64_t>> pages;  // (offset, bytes)
+  std::vector<int64_t> page_segment;                 // segment of each page
+  {
+    ASSERT_OK_AND_ASSIGN(auto stored, StoredRelation::Open(path));
+    ASSERT_EQ(3, stored->num_segments());
+    ASSERT_EQ(3, stored->segment(2).row_count);
+    for (int64_t s = 0; s < stored->num_segments(); ++s) {
+      ASSERT_OK(stored->DecodeSegment(s).status());
+      std::vector<std::pair<uint64_t, uint64_t>> extents =
+          stored->segment(s).column_pages;
+      extents.push_back(stored->segment(s).lineage_page);
+      for (const auto& extent : extents) {
+        ASSERT_GT(extent.second, 0u);
+        pages.push_back(extent);
+        page_segment.push_back(s);
+      }
+    }
+  }
+  EXPECT_EQ(56u, pages[0].second);  // int64: stride + word tail
+  EXPECT_EQ(28u, pages[2].second);  // string codes: tail only
+
+  int64_t flips = 0;
+  for (size_t p = 0; p < pages.size(); ++p) {
+    const auto [offset, bytes] = pages[p];
+    const int64_t s = page_segment[p];
+    for (uint64_t at = offset; at < offset + bytes; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        SCOPED_TRACE("segment " + std::to_string(s) + " byte " +
+                     std::to_string(at) + " bit " + std::to_string(bit));
+        FlipBit(path, at, bit);
+        {
+          ASSERT_OK_AND_ASSIGN(auto stored, StoredRelation::Open(path));
+          const Result<ColumnBatch> decoded = stored->DecodeSegment(s);
+          EXPECT_STATUS_CODE(kInternal, decoded.status());
+          EXPECT_NE(std::string::npos,
+                    decoded.status().ToString().find("checksum"));
+          SegmentCache cache;
+          EXPECT_STATUS_CODE(kInternal, cache.Fault(*stored, s).status());
+        }
+        FlipBit(path, at, bit);  // restore
+        ++flips;
+      }
+    }
+  }
+  EXPECT_EQ(8 * (2 * (56 + 56 + 28 + 56) + (24 + 24 + 12 + 24)), flips);
+
+  // Restored byte for byte: every segment decodes again.
+  ASSERT_OK_AND_ASSIGN(auto restored, StoredRelation::Open(path));
+  for (int64_t s = 0; s < restored->num_segments(); ++s) {
+    EXPECT_TRUE(restored->DecodeSegment(s).ok()) << "segment " << s;
+  }
+}
+
+TEST(SegmentStoreTest, VersionOneFilesAreRefused) {
+  const TpchData data = GenerateTpch(SmallTpch());
+  Catalog catalog = data.MakeCatalog();
+  const std::string dir = FreshDir("v1");
+  ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/64));
+  const std::string path = dir + "/o.gseg";
+  {
+    // Header: u32 magic, then u32 version.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const uint32_t version = 1;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    ASSERT_TRUE(f.good());
+  }
+  const Result<std::unique_ptr<StoredRelation>> opened =
+      StoredRelation::Open(path);
+  EXPECT_STATUS_CODE(kInvalidArgument, opened.status());
+  EXPECT_NE(std::string::npos,
+            opened.status().ToString().find("unsupported version 1"));
+}
+
 // ---------------------------------------------------------------------------
 // CSV ingestion
 
