@@ -45,6 +45,14 @@ using bench::ValueOrAbort;
 
 namespace {
 
+/// The serial columnar engine of the execution front door.
+ExecOptions ColumnarExec(int64_t batch_rows = kDefaultBatchRows) {
+  ExecOptions exec;
+  exec.engine = ExecEngine::kColumnar;
+  exec.batch_rows = batch_rows;
+  return exec;
+}
+
 /// Chain of n sampled relations joined left-deep: B(0.5)(r0) ⋈ ... ⋈
 /// B(0.5)(r_{n-1}).
 PlanPtr MakeChainPlan(int n) {
@@ -192,9 +200,9 @@ void PrintEngineComparison() {
         {
           Rng rng(1000 + rep);
           const auto t0 = std::chrono::steady_clock::now();
-          SboxReport report = ValueOrAbort(EstimatePlanStreaming(
+          SboxReport report = ValueOrAbort(EstimatePlanParallel(
               bench.q1.plan, &bench.columnar, &rng, bench.q1.aggregate,
-              bench.soa.top, bench.options, mode));
+              bench.soa.top, bench.options, mode, ColumnarExec()));
           const auto t1 = std::chrono::steady_clock::now();
           est_col = report.estimate;
           best_col = std::min(
@@ -250,9 +258,9 @@ void PrintThreadScalingAt(int64_t orders, const std::string& name_prefix,
 
   const bench::TimedResult serial = bench::RunTimed([&] {
     Rng rng(2000);
-    SboxReport report = ValueOrAbort(EstimatePlanStreaming(
+    SboxReport report = ValueOrAbort(EstimatePlanParallel(
         bench.q1.plan, &bench.columnar, &rng, bench.q1.aggregate,
-        bench.soa.top, bench.options));
+        bench.soa.top, bench.options, ExecMode::kSampled, ColumnarExec()));
     benchmark::DoNotOptimize(report);
   });
   const double best_serial = serial.min_ms;
@@ -356,9 +364,10 @@ void PrintBatchSizeSweep() {
     for (int rep = 0; rep < 5; ++rep) {
       Rng rng(3000 + rep);
       const auto t0 = std::chrono::steady_clock::now();
-      SboxReport report = ValueOrAbort(EstimatePlanStreaming(
+      SboxReport report = ValueOrAbort(EstimatePlanParallel(
           bench.q1.plan, &bench.columnar, &rng, bench.q1.aggregate,
-          bench.soa.top, bench.options, ExecMode::kSampled, batch_rows));
+          bench.soa.top, bench.options, ExecMode::kSampled,
+          ColumnarExec(batch_rows)));
       const auto t1 = std::chrono::steady_clock::now();
       benchmark::DoNotOptimize(report);
       best = std::min(
@@ -391,6 +400,7 @@ void PrintShardedScaling() {
       "E5", "sharded scatter/gather: Query 1 shared-nothing estimation");
   Query1Bench bench(32000);
   ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
   exec.morsel_rows = 4096;  // same split as E3c
 
   // Baseline: the single-process morsel engine at the same split.
@@ -850,8 +860,9 @@ void PrintFixedSizeParallelScaling() {
     Rng rng(6000);
     const auto t0 = std::chrono::steady_clock::now();
     SboxReport report = ValueOrAbort(
-        EstimatePlanStreaming(plan, &bench.columnar, &rng, f, soa.top,
-                              bench.options));
+        EstimatePlanParallel(plan, &bench.columnar, &rng, f, soa.top,
+                             bench.options, ExecMode::kSampled,
+                             ColumnarExec()));
     const auto t1 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(report);
     serial_est = report.estimate;
@@ -860,6 +871,7 @@ void PrintFixedSizeParallelScaling() {
   }
 
   ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
   exec.morsel_rows = 4096;
   TablePrinter wor_table({"threads", "serial (ms)", "parallel (ms)",
                           "speedup", "rel |est diff| vs serial"});

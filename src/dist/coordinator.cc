@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -297,7 +296,6 @@ bool IsRetryableShardFailure(const Status& st) {
   switch (st.code()) {
     case StatusCode::kUnavailable:
     case StatusCode::kDeadlineExceeded:
-    case StatusCode::kKeyError:  // a bundle that never arrived
       return true;
     default:
       return false;
@@ -562,50 +560,6 @@ Result<SboxReport> ShardedSboxEstimate(const PlanPtr& plan,
   return ShardedSboxEstimateOverCatalog(plan, &columnar, seed, mode, exec,
                                         num_shards, f_expr, gus, options,
                                         transport);
-}
-
-Result<ColumnarRelation> ExecutePlanSharded(const PlanPtr& plan,
-                                            ColumnarCatalog* catalog,
-                                            Rng* rng, ExecMode mode,
-                                            const ExecOptions& options) {
-  GUS_RETURN_NOT_OK(options.Validate());
-  const ExecOptions normalized = ShardedExecOptions(options);
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, catalog));
-  GUS_ASSIGN_OR_RETURN(
-      ShardPlan sp,
-      PlanShards(plan, catalog, mode, normalized, options.num_shards));
-  // Every shard starts from the identical stream position; shard 0 runs on
-  // the caller's generator so `rng` advances exactly as one full morsel
-  // run would (serial prepare + the stream-base draw). Shards execute
-  // concurrently — each on its own generator copy — and their relations
-  // concatenate in shard order.
-  const Rng initial = *rng;
-  const int num_shards = static_cast<int>(sp.shards.size());
-  std::vector<Rng> worker_rngs(static_cast<size_t>(num_shards), initial);
-  std::vector<Result<ColumnarRelation>> parts(
-      static_cast<size_t>(num_shards),
-      Result<ColumnarRelation>(Status::Internal("shard did not run")));
-  {
-    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
-    pool->ParallelFor(num_shards, [&](int64_t k) {
-      const ShardSpec& spec = sp.shards[static_cast<size_t>(k)];
-      Rng* use = spec.shard_index == 0 ? rng : &worker_rngs[k];
-      parts[static_cast<size_t>(k)] =
-          ExecutePlanMorselRange(plan, catalog, use, mode, normalized,
-                                 spec.unit_begin, spec.unit_end);
-    });
-  }
-  std::optional<ColumnarRelation> merged;
-  for (int k = 0; k < num_shards; ++k) {
-    GUS_RETURN_NOT_OK(parts[k].status());
-    ColumnarRelation part = std::move(parts[k]).ValueOrDie();
-    if (!merged.has_value()) {
-      merged.emplace(std::move(part));
-    } else {
-      merged->AppendBatch(part.data());
-    }
-  }
-  return std::move(merged).value();
 }
 
 }  // namespace gus

@@ -115,12 +115,13 @@ Result<SboxReport> ShardedSboxEstimateOverCatalog(
     ShardTransport* transport = nullptr);
 
 /// \brief True for failures a retry can fix: lost workers, torn/missing
-/// transport frames (Unavailable, KeyError), and elapsed deadlines.
+/// transport frames (Unavailable), and elapsed deadlines.
 ///
 /// Divergent-state failures (InvalidArgument: seed, catalog-fingerprint,
 /// or wire-version skew; SMPL divergence) are fatal — re-executing the
 /// same divergent inputs reproduces the same mismatch, so retrying them
-/// only hides a configuration bug behind latency.
+/// only hides a configuration bug behind latency. So is KeyError (a
+/// relation missing from the catalog): no retry can make it appear.
 bool IsRetryableShardFailure(const Status& st);
 
 /// \brief One shard attempt: shard `shard`'s verified bundle bytes, or
@@ -233,18 +234,6 @@ Result<FaultTolerantResult> FaultTolerantShardedSboxEstimate(
 /// this before tearing those down (tests and long-lived coordinators do;
 /// short-lived processes can rely on exit). Idempotent.
 void JoinAbandonedShardAttempts();
-
-/// \brief The materializing sharded engine behind ExecEngine::kSharded:
-/// every shard executes its unit range (shard 0 advancing `rng` exactly
-/// like a full morsel run; the rest from copies of the initial stream)
-/// and the per-shard relations concatenate in shard order.
-///
-/// Bit-identical across num_shards and to ExecutePlanMorsel at the same
-/// (seed, morsel_rows).
-Result<ColumnarRelation> ExecutePlanSharded(const PlanPtr& plan,
-                                            ColumnarCatalog* catalog,
-                                            Rng* rng, ExecMode mode,
-                                            const ExecOptions& options);
 
 }  // namespace gus
 

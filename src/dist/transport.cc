@@ -159,8 +159,8 @@ Result<std::string> LocalTransport::Receive(int shard_index) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = inbox_.find(shard_index);
     if (it == inbox_.end()) {
-      return Status::KeyError("no state received for shard " +
-                              std::to_string(shard_index));
+      return Status::Unavailable("no state received for shard " +
+                                 std::to_string(shard_index));
     }
     // Consume the payload: bundles can carry megabytes of retained-set
     // state and every gather reads each shard exactly once, so keeping a
@@ -243,9 +243,9 @@ Result<std::string> FileTransport::Receive(int shard_index) {
       FaultInjector::Global()->Hit("transport.receive", shard_index));
   std::ifstream in(ShardPath(shard_index), std::ios::binary);
   if (!in) {
-    return Status::KeyError("no state file for shard " +
-                            std::to_string(shard_index) + " at '" +
-                            ShardPath(shard_index) + "'");
+    return Status::Unavailable("no state file for shard " +
+                               std::to_string(shard_index) + " at '" +
+                               ShardPath(shard_index) + "'");
   }
   return ReadFrame(&in);
 }

@@ -61,7 +61,8 @@ class ShardTransport {
   /// Stores shard `shard_index`'s serialized state (exactly once).
   virtual Status Send(int shard_index, std::string payload) = 0;
 
-  /// Retrieves shard `shard_index`'s state; fails if it never arrived.
+  /// Retrieves shard `shard_index`'s state; fails Unavailable (retryable)
+  /// if it never arrived.
   virtual Result<std::string> Receive(int shard_index) = 0;
 };
 

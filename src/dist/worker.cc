@@ -29,31 +29,6 @@ Status AnnotateShard(Status st, int shard_index, const char* site) {
   }
 }
 
-/// Adapts StreamingSboxEstimator to the morsel sink protocol (the dist
-/// twin of the adapter inside est/streaming.cc).
-class SboxShardSink final : public MergeableBatchSink {
- public:
-  explicit SboxShardSink(StreamingSboxEstimator est) : est_(std::move(est)) {}
-
-  Status Consume(const ColumnBatch& batch) override {
-    return est_.Consume(batch);
-  }
-
-  Status MergeFrom(BatchSink* other) override {
-    return est_.Merge(std::move(static_cast<SboxShardSink*>(other)->est_));
-  }
-
-  bool Recycle() override {
-    est_.Reset();
-    return true;
-  }
-
-  StreamingSboxEstimator* estimator() { return &est_; }
-
- private:
-  StreamingSboxEstimator est_;
-};
-
 }  // namespace
 
 std::string BuildShardBundle(
@@ -151,11 +126,10 @@ Result<std::string> RunShardSbox(
             StreamingSboxEstimator est,
             StreamingSboxEstimator::Make(layout, f_expr, gus, options));
         return std::unique_ptr<MergeableBatchSink>(
-            new SboxShardSink(std::move(est)));
+            new StreamingSboxEstimator(std::move(est)));
       },
       &sink, &meta, &samplers, expected_catalog_fingerprint));
-  StreamingSboxEstimator* est =
-      static_cast<SboxShardSink*>(sink.get())->estimator();
+  auto* est = static_cast<StreamingSboxEstimator*>(sink.get());
   meta.rows = est->rows_seen();
   // Injection site: the range executed, but the bundle never materializes
   // (death/failure between execution and serialization).

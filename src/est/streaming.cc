@@ -10,7 +10,6 @@
 #include "est/wire.h"
 #include "est/ys.h"
 #include "plan/exec_stats.h"
-#include "plan/parallel_executor.h"
 #include "plan/vector_eval.h"
 #include "util/hash.h"
 
@@ -507,35 +506,6 @@ void StreamingSboxEstimator::Reset() {
   ustar_.clear();
 }
 
-namespace {
-
-/// Adapts StreamingSboxEstimator to the morsel executor's sink protocol.
-class SboxEstimatorSink final : public MergeableBatchSink {
- public:
-  explicit SboxEstimatorSink(StreamingSboxEstimator est)
-      : est_(std::move(est)) {}
-
-  Status Consume(const ColumnBatch& batch) override {
-    return est_.Consume(batch);
-  }
-
-  Status MergeFrom(BatchSink* other) override {
-    return est_.Merge(std::move(static_cast<SboxEstimatorSink*>(other)->est_));
-  }
-
-  bool Recycle() override {
-    est_.Reset();
-    return true;
-  }
-
-  StreamingSboxEstimator* estimator() { return &est_; }
-
- private:
-  StreamingSboxEstimator est_;
-};
-
-}  // namespace
-
 Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
                                         ColumnarCatalog* catalog, Rng* rng,
                                         const ExprPtr& f_expr,
@@ -544,7 +514,7 @@ Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
                                         ExecMode mode,
                                         const ExecOptions& exec) {
   std::unique_ptr<MergeableBatchSink> sink;
-  GUS_RETURN_NOT_OK(ParallelExecutePlanToSink(
+  GUS_RETURN_NOT_OK(ExecutePlanToSink(
       plan, catalog, rng, mode, exec,
       [&](const BatchLayout& layout)
           -> Result<std::unique_ptr<MergeableBatchSink>> {
@@ -552,30 +522,11 @@ Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
             StreamingSboxEstimator est,
             StreamingSboxEstimator::Make(layout, f_expr, gus, options));
         return std::unique_ptr<MergeableBatchSink>(
-            new SboxEstimatorSink(std::move(est)));
+            new StreamingSboxEstimator(std::move(est)));
       },
       &sink));
-  StreamingSboxEstimator* est =
-      static_cast<SboxEstimatorSink*>(sink.get())->estimator();
+  auto* est = static_cast<StreamingSboxEstimator*>(sink.get());
   return TimeEstimate(exec.stats, [est] { return est->Finish(); });
-}
-
-Result<SboxReport> EstimatePlanStreaming(const PlanPtr& plan,
-                                         ColumnarCatalog* catalog, Rng* rng,
-                                         const ExprPtr& f_expr,
-                                         const GusParams& gus,
-                                         const SboxOptions& options,
-                                         ExecMode mode, int64_t batch_rows) {
-  GUS_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchSource> pipeline,
-      CompileBatchPipeline(plan, catalog, rng, mode, batch_rows));
-  GUS_ASSIGN_OR_RETURN(
-      StreamingSboxEstimator est,
-      StreamingSboxEstimator::Make(*pipeline->layout(), f_expr, gus, options));
-  // PumpToSink hands whole producer-owned batches through without a copy
-  // and gathers fused selection views exactly once, at this sink boundary.
-  GUS_RETURN_NOT_OK(PumpToSink(pipeline.get(), &est));
-  return est.Finish();
 }
 
 }  // namespace gus

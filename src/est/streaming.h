@@ -1,7 +1,8 @@
 // Batch-incremental consumers for the estimation layer.
 //
-// The columnar executor pushes (lineage, f-value) batches straight into
-// these sinks, so the query result is never materialized as a relation:
+// The execution front door (ExecutePlanToSink, plan/columnar_executor.h)
+// pushes (lineage, f-value) batches straight into these sinks on every
+// engine, so the query result is never materialized as a relation:
 //
 //   * SampleViewBuilder — accumulates a SampleView (the Section 6 input)
 //     batch by batch; equivalent to SampleView::FromRelation on the
@@ -29,6 +30,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "algebra/gus_params.h"
@@ -85,7 +87,11 @@ class SampleViewBuilder final : public BatchSink {
 };
 
 /// \brief One-pass SBox estimation over a batch stream.
-class StreamingSboxEstimator final : public BatchSink {
+///
+/// A MergeableBatchSink itself, so every engine of the execution front
+/// door (ExecutePlanToSink) and every shard worker folds estimators
+/// directly: MergeFrom is Merge, Recycle is Reset.
+class StreamingSboxEstimator final : public MergeableBatchSink {
  public:
   static Result<StreamingSboxEstimator> Make(const BatchLayout& layout,
                                              const ExprPtr& f_expr,
@@ -93,6 +99,15 @@ class StreamingSboxEstimator final : public BatchSink {
                                              const SboxOptions& options = {});
 
   Status Consume(const ColumnBatch& batch) override;
+
+  /// Merge of another StreamingSboxEstimator (the sink-protocol form).
+  Status MergeFrom(BatchSink* other) override {
+    return Merge(std::move(*static_cast<StreamingSboxEstimator*>(other)));
+  }
+  bool Recycle() override {
+    Reset();
+    return true;
+  }
 
   /// \brief Folds a later partition's estimator into this one.
   ///
@@ -233,26 +248,18 @@ class StreamingSboxEstimator final : public BatchSink {
   std::vector<double> ustar_;
 };
 
-/// \brief Executes `plan` on the columnar engine and streams the result
-/// straight into the SBox; the result relation is never materialized.
+/// \brief Executes `plan` through the front door (ExecutePlanToSink) on
+/// `exec.engine` and streams the result straight into the SBox; the
+/// result relation is never materialized.
 ///
-/// Equivalent to ExecutePlan + SampleView::FromRelation + SboxEstimate
-/// (identical report), in one pass.
-Result<SboxReport> EstimatePlanStreaming(const PlanPtr& plan,
-                                         ColumnarCatalog* catalog, Rng* rng,
-                                         const ExprPtr& f_expr,
-                                         const GusParams& gus,
-                                         const SboxOptions& options = {},
-                                         ExecMode mode = ExecMode::kSampled,
-                                         int64_t batch_rows = kDefaultBatchRows);
-
-/// \brief Morsel-parallel EstimatePlanStreaming.
-///
-/// Each partition streams into its own StreamingSboxEstimator on whatever
-/// worker runs it; the per-partition estimators merge in morsel order, so
-/// the report is bit-deterministic in (plan, catalog, seed, exec options)
-/// and identical across num_threads values (see plan/parallel_executor.h
-/// for the sampling-design caveats vs the serial engines).
+/// On kRowAtATime and kColumnar one estimator consumes the serial stream,
+/// identical to ExecutePlan + SampleView::FromRelation + SboxEstimate. On
+/// kMorselParallel and kSharded each partition streams into its own
+/// estimator and they merge in unit order, so the report is
+/// bit-deterministic in (plan, catalog, seed, exec options) and identical
+/// across num_threads and num_shards values (see plan/parallel_executor.h
+/// for the sampling-design caveats vs the serial engines). exec.stats,
+/// when set, receives the Finish time in estimate_ms.
 Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
                                         ColumnarCatalog* catalog, Rng* rng,
                                         const ExprPtr& f_expr,

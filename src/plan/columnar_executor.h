@@ -24,10 +24,14 @@
 // selection vectors over borrowed batches — and gather exactly once, at
 // the next breaker or at the sink (see BatchSource::NextView). The top of
 // the pipeline either materializes into a ColumnarRelation
-// (ExecutePlanColumnar) or pushes straight into a BatchSink
-// (ExecutePlanToSink) — the latter is how the estimators consume the
-// (lineage, f) stream without ever materializing the final relation
-// (est/streaming.h).
+// (ExecutePlanColumnar) or pushes straight into a sink.
+//
+// This header also holds the one execution front door, ExecutePlanToSink:
+// every engine feeds the plan's output stream into mergeable sinks from
+// one factory and hands back a single folded sink. ExecutePlan
+// (materialized relations), EstimatePlanParallel (the SBox,
+// est/streaming.h) and sqlish::RunApproxQuery (per-item builders) are sink
+// factories over it, so the engine is picked in exactly one place.
 //
 // Engine parity: sampling decisions come from the shared kernels, the
 // pipeline drains sub-plans in the row engine's post-order (left fully
@@ -40,6 +44,7 @@
 #ifndef GUS_PLAN_COLUMNAR_EXECUTOR_H_
 #define GUS_PLAN_COLUMNAR_EXECUTOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -124,6 +129,10 @@ class ColumnarCatalog {
   /// The pinned-segment cache backing Stored() relations (null for
   /// in-memory catalogs).
   virtual SegmentCache* segment_cache() { return nullptr; }
+
+  /// The row-form catalog this one converts from (null for derived
+  /// catalogs with no row form, e.g. segment catalogs).
+  const Catalog* row_catalog() const { return catalog_; }
 
  protected:
   /// For derived catalogs that do not wrap a row-engine Catalog.
@@ -267,13 +276,65 @@ Result<ColumnarRelation> ExecutePlanColumnar(
     const PlanPtr& plan, ColumnarCatalog* catalog, Rng* rng,
     ExecMode mode = ExecMode::kSampled, int64_t batch_rows = kDefaultBatchRows);
 
-/// \brief Runs the pipeline, pushing every output batch into `sink`.
+/// \brief A batch sink whose state can absorb another instance's.
 ///
-/// The result relation is never materialized; this is the streaming path
-/// the estimators build on.
+/// The parallel engines give every morsel (and every shard) its own sink
+/// and fold them in ascending unit order; MergeFrom must treat `other` as
+/// the state of the partitions immediately *after* this sink's (order
+/// matters for floating-point sums and row order, and the executor
+/// guarantees it).
+class MergeableBatchSink : public BatchSink {
+ public:
+  /// Absorbs `other` (same concrete type; consumed). The executor never
+  /// passes a sink produced by a different factory.
+  virtual Status MergeFrom(BatchSink* other) = 0;
+
+  /// \brief Returns this sink to a reusable empty state after its contents
+  /// were absorbed by MergeFrom, or false (the default) to be destroyed.
+  ///
+  /// Sinks that return true land in the executor's per-query reuse arena:
+  /// instead of one allocation (plus expression re-binding, dictionary
+  /// maps, ...) per morsel, the executor cycles roughly one sink per
+  /// worker. Purely an allocation optimization — each morsel's sink still
+  /// consumes only that morsel's stream and still folds in strictly
+  /// ascending morsel order, so results are unchanged by construction
+  /// (pinned by the sink-arena parity tests).
+  virtual bool Recycle() { return false; }
+};
+
+/// \brief Creates one sink (per morsel, on the partitioned engines) for the
+/// pipeline's output `layout`.
+///
+/// Invoked concurrently from worker threads (one call per morsel, on
+/// whichever worker claims it): the factory must be thread-safe — capture
+/// shared state by const reference only, and put anything mutable inside
+/// the sink it returns.
+using MorselSinkFactory =
+    std::function<Result<std::unique_ptr<MergeableBatchSink>>(
+        const BatchLayout&)>;
+
+/// \brief The execution front door: runs `plan` on `options.engine` and
+/// folds everything it emits into `*out`, a sink from `make_sink`.
+///
+///   kRowAtATime     the row oracle (executor.h) over catalog->row_catalog(),
+///                   its relation pumped into one sink; InvalidArgument for
+///                   a catalog with no row form, TypeError when a result
+///                   cell disagrees with its column's type (the oracle
+///                   itself never checks; ColumnarRelation::FromRelation)
+///   kColumnar       the serial batch pipeline pumped into one sink
+///   kMorselParallel ParallelExecutePlanToSink (plan/parallel_executor.h)
+///   kSharded        the options.num_shards contiguous unit ranges of the
+///                   morsel split, run concurrently (shard 0 on `rng`, the
+///                   rest on copies of its initial state) and folded in
+///                   shard order — bit-identical to kMorselParallel at the
+///                   same (seed, morsel_rows), for every shard count
+///   kServed         InvalidArgument (a sqlish-only cache front end)
+///
+/// This is the only place the engine is chosen.
 Status ExecutePlanToSink(const PlanPtr& plan, ColumnarCatalog* catalog,
-                         Rng* rng, ExecMode mode, BatchSink* sink,
-                         int64_t batch_rows = kDefaultBatchRows);
+                         Rng* rng, ExecMode mode, const ExecOptions& options,
+                         const MorselSinkFactory& make_sink,
+                         std::unique_ptr<MergeableBatchSink>* out);
 
 }  // namespace gus
 

@@ -25,7 +25,7 @@ namespace gus {
 
 /// \brief Wall-clock and work profile of one parallel plan execution.
 ///
-/// Filled by ParallelExecutePlanToSink / ExecutePlanParallel (and the
+/// Filled by the kMorselParallel engine (ParallelExecutePlanToSink and the
 /// range/shard primitives underneath) when ExecOptions::stats points here.
 /// Reset() is called on entry, so one instance can be reused across
 /// queries. Phase times satisfy
@@ -50,8 +50,10 @@ struct ExecStats {
   /// Whole engine call, wall time.
   double total_ms = 0.0;
   /// Estimator Finish (y_S statistics, variance and interval), wall time.
-  /// Set by EstimatePlanParallel and by the sharded gather's fold; it
-  /// follows the engine call, so it is not inside total_ms.
+  /// Set by every estimating front door (EstimatePlanParallel,
+  /// sqlish::RunApproxQuery on every engine, the sharded gather's fold,
+  /// a served cache hit); it follows the engine call, so it is not inside
+  /// total_ms.
   double estimate_ms = 0.0;
 
   // ---- Work accounting ----

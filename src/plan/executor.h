@@ -1,5 +1,9 @@
 // Plan execution over an in-memory catalog.
 //
+// The engine is chosen in one place, the sink-driven front door
+// ExecutePlanToSink (plan/columnar_executor.h); ExecutePlan is its
+// relation-collecting caller (and the direct entry to the row oracle).
+//
 // Two modes:
 //   * sampled — sample nodes run their physical sampler (the plan as the
 //     user wrote it),
@@ -65,8 +69,7 @@ enum class ExecMode { kSampled, kExact };
 /// the kSharded scatter/gather fronted by the approximate-view cache
 /// (serve/view_cache.h) — a repeated (query, catalog content, seed,
 /// morsel geometry) answers from cached merged builder state, executing
-/// nothing, with the identical result bits. It has no materializing form;
-/// ExecutePlan rejects it.
+/// nothing, with the identical result bits. The front door rejects it.
 enum class ExecEngine {
   kRowAtATime,
   kColumnar,
@@ -194,8 +197,9 @@ struct ExecOptions {
   MorselPlacement placement = MorselPlacement::kDynamic;
   /// \brief Optional execution profile output (not owned; may be null).
   ///
-  /// When set, the parallel engines Reset() and fill it with per-phase
-  /// wall times and work counters (see plan/exec_stats.h). Never read by
+  /// When set, the front door Reset()s it and the morsel engine fills it
+  /// with per-phase wall times and work counters (see plan/exec_stats.h),
+  /// estimating callers add the estimate time. Never read by
   /// the execution logic, so it cannot change any result. The GUS_PROFILE
   /// environment variable additionally dumps the same profile to stderr
   /// whether or not this is set.
@@ -242,13 +246,13 @@ struct ExecOptions {
 ///
 /// `rng` drives every sampler in the plan (ignored in exact mode). Join
 /// nodes use the hash equi-join; product and union use their respective
-/// physical operators. With ExecEngine::kColumnar the plan runs on the
-/// batch pipeline and the result converts back to a Relation at the end.
-/// Each such call builds a throwaway ColumnarCatalog, but the base
-/// relations' columnar forms are memoized by the relations themselves
-/// (Relation::Columnar), so repeated queries convert each one only once.
-/// Callers wanting to stay columnar / stream hold a ColumnarCatalog and use
-/// plan/columnar_executor.h directly.
+/// physical operators. kRowAtATime returns the row oracle's relation;
+/// every other engine runs through ExecutePlanToSink into sinks that
+/// collect per-morsel parts, concatenated once at the end. Each such call
+/// builds a throwaway ColumnarCatalog, but the base relations' columnar
+/// forms are memoized by the relations themselves (Relation::Columnar),
+/// so repeated queries convert each one only once. Callers wanting to
+/// stream hold a ColumnarCatalog and call ExecutePlanToSink directly.
 Result<Relation> ExecutePlan(const PlanPtr& plan, const Catalog& catalog,
                              Rng* rng, ExecMode mode = ExecMode::kSampled,
                              ExecEngine engine = ExecEngine::kRowAtATime);

@@ -60,7 +60,6 @@
 #define GUS_PLAN_PARALLEL_EXECUTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,41 +72,6 @@
 #include "util/status.h"
 
 namespace gus {
-
-/// \brief A batch sink whose state can absorb another instance's.
-///
-/// The parallel executor gives every morsel its own sink and folds them in
-/// ascending morsel order; MergeFrom must treat `other` as the state of the
-/// partitions immediately *after* this sink's (order matters for
-/// floating-point sums and row order, and the executor guarantees it).
-class MergeableBatchSink : public BatchSink {
- public:
-  /// Absorbs `other` (same concrete type; consumed). The executor never
-  /// passes a sink produced by a different factory.
-  virtual Status MergeFrom(BatchSink* other) = 0;
-
-  /// \brief Returns this sink to a reusable empty state after its contents
-  /// were absorbed by MergeFrom, or false (the default) to be destroyed.
-  ///
-  /// Sinks that return true land in the executor's per-query reuse arena:
-  /// instead of one allocation (plus expression re-binding, dictionary
-  /// maps, ...) per morsel, the executor cycles roughly one sink per
-  /// worker. Purely an allocation optimization — each morsel's sink still
-  /// consumes only that morsel's stream and still folds in strictly
-  /// ascending morsel order, so results are unchanged by construction
-  /// (pinned by the sink-arena parity tests).
-  virtual bool Recycle() { return false; }
-};
-
-/// \brief Creates one per-morsel sink for the pipeline's output `layout`.
-///
-/// Invoked concurrently from worker threads (one call per morsel, on
-/// whichever worker claims it): the factory must be thread-safe — capture
-/// shared state by const reference only, and put anything mutable inside
-/// the sink it returns.
-using MorselSinkFactory =
-    std::function<Result<std::unique_ptr<MergeableBatchSink>>(
-        const BatchLayout&)>;
 
 /// \brief True when the morsel engine can partition `plan` (some scan has a
 /// partition-safe path to the root) under `mode`.
@@ -209,22 +173,6 @@ Status ParallelExecuteUnitRangeToSink(
     std::unique_ptr<MergeableBatchSink>* out,
     uint64_t* stream_base_out = nullptr,
     std::vector<ResolvedPivotSampler>* samplers_out = nullptr);
-
-/// Morsel-parallel execution materializing the merged result (per-morsel
-/// relations concatenate in morsel order, unifying string dictionaries).
-Result<ColumnarRelation> ExecutePlanMorsel(const PlanPtr& plan,
-                                           ColumnarCatalog* catalog, Rng* rng,
-                                           ExecMode mode,
-                                           const ExecOptions& options);
-
-/// ExecutePlanMorsel restricted to units [unit_begin, unit_end) — the
-/// materializing shard-worker path (ExecEngine::kSharded relations).
-Result<ColumnarRelation> ExecutePlanMorselRange(const PlanPtr& plan,
-                                                ColumnarCatalog* catalog,
-                                                Rng* rng, ExecMode mode,
-                                                const ExecOptions& options,
-                                                int64_t unit_begin,
-                                                int64_t unit_end);
 
 }  // namespace gus
 

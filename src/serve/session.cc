@@ -9,6 +9,7 @@
 #include "dist/shard.h"
 #include "est/streaming.h"
 #include "est/wire.h"
+#include "plan/exec_stats.h"
 
 namespace gus {
 
@@ -290,7 +291,9 @@ Result<ServedResult> SessionCoordinator::Execute(const std::string& query_name,
       GUS_ASSIGN_OR_RETURN(
           StreamingSboxEstimator merged,
           StreamingSboxEstimator::DeserializeState(sbox.payload));
-      GUS_ASSIGN_OR_RETURN(out.report, merged.Finish());
+      GUS_ASSIGN_OR_RETURN(
+          out.report,
+          TimeEstimate(req.stats, [&merged] { return merged.Finish(); }));
       out.cache_hit = true;
       return out;
     }

@@ -203,8 +203,7 @@ std::string ApproxResult::ToString() const {
 
 namespace {
 
-/// One select item's estimate from its (lineage, f) view — shared by the
-/// materializing and streaming paths.
+/// One select item's estimate from its (lineage, f) view.
 Result<ApproxValue> EstimateItem(const SelectItem& item, const GusParams& top,
                                  const SampleView& view,
                                  const SboxOptions& options) {
@@ -263,60 +262,9 @@ Result<ApproxValue> EstimateItem(const SelectItem& item, const GusParams& top,
   return value;
 }
 
-/// Ungrouped columnar path: one pipeline pass fans the batch stream out to
-/// every item's SampleViewBuilder; the result is never materialized.
-Result<ApproxResult> RunUngroupedStreaming(const PlannedQuery& planned,
-                                           const SoaResult& soa,
-                                           const Catalog& catalog, Rng* rng,
-                                           const SboxOptions& options,
-                                           int64_t batch_rows) {
-  ColumnarCatalog columnar(&catalog);
-  GUS_ASSIGN_OR_RETURN(
-      std::unique_ptr<BatchSource> pipeline,
-      CompileBatchPipeline(planned.plan, &columnar, rng, ExecMode::kSampled,
-                           batch_rows));
-  std::vector<SampleViewBuilder> builders;
-  builders.reserve(planned.items.size());
-  for (const SelectItem& item : planned.items) {
-    GUS_ASSIGN_OR_RETURN(
-        SampleViewBuilder builder,
-        SampleViewBuilder::Make(*pipeline->layout(), item.expr,
-                                soa.top.schema()));
-    builders.push_back(std::move(builder));
-  }
-  ApproxResult result;
-  // Adapter so the fused pipeline gathers once here, at the sink, and fans
-  // the gathered batch to every item's builder.
-  class FanoutSink final : public BatchSink {
-   public:
-    FanoutSink(std::vector<SampleViewBuilder>* builders, int64_t* rows)
-        : builders_(builders), rows_(rows) {}
-    Status Consume(const ColumnBatch& batch) override {
-      *rows_ += batch.num_rows();
-      for (SampleViewBuilder& builder : *builders_) {
-        GUS_RETURN_NOT_OK(builder.Consume(batch));
-      }
-      return Status::OK();
-    }
-
-   private:
-    std::vector<SampleViewBuilder>* builders_;
-    int64_t* rows_;
-  };
-  FanoutSink fanout(&builders, &result.sample_rows);
-  GUS_RETURN_NOT_OK(PumpToSink(pipeline.get(), &fanout));
-  for (size_t i = 0; i < planned.items.size(); ++i) {
-    GUS_ASSIGN_OR_RETURN(ApproxValue value,
-                         EstimateItem(planned.items[i], soa.top,
-                                      builders[i].view(), options));
-    result.values.push_back(std::move(value));
-  }
-  return result;
-}
-
-/// \brief Per-morsel fan-out sink: one SampleViewBuilder per select item
+/// \brief Per-item fan-out sink: one SampleViewBuilder per select item
 /// (ungrouped) or one GroupedSumBuilder per item (grouped), plus the row
-/// count; merges element-wise in morsel order.
+/// count; merges element-wise in unit order. Every engine feeds it.
 class ItemFanoutSink final : public MergeableBatchSink {
  public:
   static Result<std::unique_ptr<ItemFanoutSink>> Make(
@@ -386,65 +334,56 @@ class ItemFanoutSink final : public MergeableBatchSink {
   std::vector<GroupedSumBuilder> groups_;
 };
 
-/// The estimate tail shared by the morsel-parallel and sharded paths:
-/// per-item estimation over the merged builders (views when ungrouped,
-/// group tables otherwise), exactly one of which is populated.
+/// ItemFanoutSinks for `planned`'s select items.
+MorselSinkFactory ItemFanoutFactory(const PlannedQuery& planned,
+                                    const SoaResult& soa) {
+  return [&planned, &soa](const BatchLayout& layout)
+             -> Result<std::unique_ptr<MergeableBatchSink>> {
+    GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
+                         ItemFanoutSink::Make(layout, planned.items,
+                                              soa.top.schema(),
+                                              planned.group_by));
+    return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
+  };
+}
+
+/// The estimate tail every engine shares: per-item estimation over the
+/// merged builders (views when ungrouped, group tables otherwise), exactly
+/// one of which is populated. `stats`, when set, receives its wall time in
+/// estimate_ms.
 Result<ApproxResult> EstimateFromBuilders(
     const PlannedQuery& planned, const SoaResult& soa,
     const SboxOptions& options, int64_t sample_rows,
     std::vector<SampleViewBuilder>* views,
-    std::vector<GroupedSumBuilder>* groups) {
-  ApproxResult result;
-  result.sample_rows = sample_rows;
-  for (size_t i = 0; i < planned.items.size(); ++i) {
-    if (planned.group_by.empty()) {
-      GUS_ASSIGN_OR_RETURN(ApproxValue value,
-                           EstimateItem(planned.items[i], soa.top,
-                                        (*views)[i].view(), options));
-      result.values.push_back(std::move(value));
-    } else {
-      GUS_ASSIGN_OR_RETURN(
-          auto estimates,
-          (*groups)[i].Finish(soa.top, options.confidence_level,
-                              options.bound_kind));
-      for (const GroupEstimate& ge : estimates) {
-        ApproxValue value;
-        value.label = "SUM(" + planned.items[i].expr->ToString() + ")";
-        value.group = planned.group_by + "=" + ge.key.ToString();
-        value.value = ge.estimate;
-        value.stddev = ge.stddev;
-        value.lo = ge.interval.lo;
-        value.hi = ge.interval.hi;
+    std::vector<GroupedSumBuilder>* groups, ExecStats* stats) {
+  return TimeEstimate(stats, [&]() -> Result<ApproxResult> {
+    ApproxResult result;
+    result.sample_rows = sample_rows;
+    for (size_t i = 0; i < planned.items.size(); ++i) {
+      if (planned.group_by.empty()) {
+        GUS_ASSIGN_OR_RETURN(ApproxValue value,
+                             EstimateItem(planned.items[i], soa.top,
+                                          (*views)[i].view(), options));
         result.values.push_back(std::move(value));
+      } else {
+        GUS_ASSIGN_OR_RETURN(
+            auto estimates,
+            (*groups)[i].Finish(soa.top, options.confidence_level,
+                                options.bound_kind));
+        for (const GroupEstimate& ge : estimates) {
+          ApproxValue value;
+          value.label = "SUM(" + planned.items[i].expr->ToString() + ")";
+          value.group = planned.group_by + "=" + ge.key.ToString();
+          value.value = ge.estimate;
+          value.stddev = ge.stddev;
+          value.lo = ge.interval.lo;
+          value.hi = ge.interval.hi;
+          result.values.push_back(std::move(value));
+        }
       }
     }
-  }
-  return result;
-}
-
-/// Morsel-parallel path, grouped or not: one parallel pass fans every
-/// partition's stream into per-item builders, merged in morsel order.
-Result<ApproxResult> RunMorselParallel(const PlannedQuery& planned,
-                                       const SoaResult& soa,
-                                       const Catalog& catalog, Rng* rng,
-                                       const SboxOptions& options,
-                                       const ExecOptions& exec) {
-  ColumnarCatalog columnar(&catalog);
-  std::unique_ptr<MergeableBatchSink> sink;
-  GUS_RETURN_NOT_OK(ParallelExecutePlanToSink(
-      planned.plan, &columnar, rng, ExecMode::kSampled, exec,
-      [&](const BatchLayout& layout)
-          -> Result<std::unique_ptr<MergeableBatchSink>> {
-        GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
-                             ItemFanoutSink::Make(layout, planned.items,
-                                                  soa.top.schema(),
-                                                  planned.group_by));
-        return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
-      },
-      &sink));
-  auto* fanout = static_cast<ItemFanoutSink*>(sink.get());
-  return EstimateFromBuilders(planned, soa, options, fanout->sample_rows(),
-                              fanout->views(), fanout->groups());
+    return result;
+  });
 }
 
 /// \brief The scatter/gather core shared by kSharded and kServed:
@@ -474,16 +413,8 @@ Status RunShardedCore(const PlannedQuery& planned, const SoaResult& soa,
     std::vector<ResolvedPivotSampler> samplers;
     GUS_RETURN_NOT_OK(RunShardToSink(
         planned.plan, &columnar, seed, ExecMode::kSampled, exec, k,
-        num_shards,
-        [&](const BatchLayout& layout)
-            -> Result<std::unique_ptr<MergeableBatchSink>> {
-          GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
-                               ItemFanoutSink::Make(layout, planned.items,
-                                                    soa.top.schema(),
-                                                    planned.group_by));
-          return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
-        },
-        &sink, &meta, &samplers));
+        num_shards, ItemFanoutFactory(planned, soa), &sink, &meta,
+        &samplers));
     auto* fanout = static_cast<ItemFanoutSink*>(sink.get());
     meta.rows = fanout->sample_rows();
     std::vector<std::pair<WireTag, std::string>> item_sections;
@@ -576,7 +507,7 @@ Result<ApproxResult> RunSharded(const PlannedQuery& planned,
   GUS_RETURN_NOT_OK(RunShardedCore(planned, soa, catalog, seed, exec, &views,
                                    &groups, &sample_rows));
   return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                              &groups);
+                              &groups, exec.stats);
 }
 
 /// \brief Served path (ExecEngine::kServed): the sharded core fronted by
@@ -664,7 +595,7 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
           "; refusing to serve");
     }
     return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                                &groups);
+                                &groups, exec.stats);
   }
 
   std::vector<SampleViewBuilder> views;
@@ -687,7 +618,7 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
   }
   cache->Insert(key, bundle.Finish());
   return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                              &groups);
+                              &groups, exec.stats);
 }
 
 }  // namespace
@@ -710,55 +641,24 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
   GUS_ASSIGN_OR_RETURN(PlannedQuery planned, PlanQuery(parsed, catalog));
   GUS_ASSIGN_OR_RETURN(SoaResult soa, SoaTransform(planned.plan));
 
-  Rng rng(seed);
+  // The two wire routes: per-item builder states travel as est/wire
+  // bundles (and, for kServed, through the view cache). Every other engine
+  // goes through the front door into one fan-out sink.
   if (exec.engine == ExecEngine::kServed) {
     return RunServed(planned, soa, catalog, sql, seed, options, exec);
   }
   if (exec.engine == ExecEngine::kSharded) {
     return RunSharded(planned, soa, catalog, seed, options, exec);
   }
-  if (exec.engine == ExecEngine::kMorselParallel) {
-    return RunMorselParallel(planned, soa, catalog, &rng, options, exec);
-  }
-  if (exec.engine == ExecEngine::kColumnar && planned.group_by.empty()) {
-    return RunUngroupedStreaming(planned, soa, catalog, &rng, options,
-                                 exec.batch_rows);
-  }
-  GUS_ASSIGN_OR_RETURN(
-      Relation sample,
-      ExecutePlan(planned.plan, catalog, &rng, ExecMode::kSampled, exec));
-
-  ApproxResult result;
-  result.sample_rows = sample.num_rows();
-  if (!planned.group_by.empty()) {
-    // Grouped path: per-group SUM estimation with per-group intervals.
-    for (const SelectItem& item : planned.items) {
-      GUS_ASSIGN_OR_RETURN(
-          auto groups,
-          GroupedSumEstimate(soa.top, sample, item.expr, planned.group_by,
-                             options.confidence_level, options.bound_kind));
-      for (const GroupEstimate& ge : groups) {
-        ApproxValue value;
-        value.label = "SUM(" + item.expr->ToString() + ")";
-        value.group = planned.group_by + "=" + ge.key.ToString();
-        value.value = ge.estimate;
-        value.stddev = ge.stddev;
-        value.lo = ge.interval.lo;
-        value.hi = ge.interval.hi;
-        result.values.push_back(std::move(value));
-      }
-    }
-    return result;
-  }
-  for (const SelectItem& item : planned.items) {
-    GUS_ASSIGN_OR_RETURN(
-        SampleView view,
-        SampleView::FromRelation(sample, item.expr, soa.top.schema()));
-    GUS_ASSIGN_OR_RETURN(ApproxValue value,
-                         EstimateItem(item, soa.top, view, options));
-    result.values.push_back(std::move(value));
-  }
-  return result;
+  ColumnarCatalog columnar(&catalog);
+  Rng rng(seed);
+  std::unique_ptr<MergeableBatchSink> sink;
+  GUS_RETURN_NOT_OK(ExecutePlanToSink(planned.plan, &columnar, &rng,
+                                      ExecMode::kSampled, exec,
+                                      ItemFanoutFactory(planned, soa), &sink));
+  auto* fanout = static_cast<ItemFanoutSink*>(sink.get());
+  return EstimateFromBuilders(planned, soa, options, fanout->sample_rows(),
+                              fanout->views(), fanout->groups(), exec.stats);
 }
 
 }  // namespace sqlish

@@ -5,6 +5,12 @@
 // plan in FROM order. RunApproxQuery then executes the plan, runs the SBox,
 // and returns one estimated value (with interval) per select item — the
 // complete "approximate query" experience of the paper's introduction.
+//
+// Execution is one sink factory over the front door (ExecutePlanToSink,
+// plan/columnar_executor.h): the (lineage, f) stream of every engine fans
+// out into per-item builders and one estimate tail finishes them. Only
+// kSharded and kServed take their own route, because their builder states
+// travel as wire bundles (and, for kServed, through the view cache).
 
 #ifndef GUS_SQLISH_PLANNER_H_
 #define GUS_SQLISH_PLANNER_H_
@@ -60,17 +66,21 @@ struct ApproxResult {
 /// \brief Parses, plans, executes and estimates in one call.
 ///
 /// `seed` drives the samplers; `options` control interval kind/level and
-/// Section 7 sub-sampling. With ExecEngine::kColumnar, ungrouped queries
-/// run on the batch pipeline and stream (lineage, f) straight into the
-/// per-item estimators — the result relation is never materialized; the
-/// row and columnar engines return identical results for identical seeds.
+/// Section 7 sub-sampling. No engine materializes the result relation
+/// for the estimators: (lineage, f) streams straight into the per-item
+/// builders. The row and columnar engines return identical results for
+/// identical seeds. Because even the row engine's result streams through
+/// columnar sinks, a base cell whose type disagrees with its column's
+/// (Relation::AppendRow does not check) is a TypeError on every engine.
 Result<ApproxResult> RunApproxQuery(const std::string& sql,
                                     const Catalog& catalog, uint64_t seed,
                                     const SboxOptions& options = {},
                                     ExecEngine engine = ExecEngine::kRowAtATime);
 
 /// \brief Full-options overload: ExecEngine::kMorselParallel runs the plan
-/// partition-parallel with exec.num_threads workers;
+/// partition-parallel with exec.num_threads workers; exec.stats, when set,
+/// receives the engine profile and, on every engine, the estimate time
+/// (ExecStats::estimate_ms);
 /// ExecEngine::kSharded scatters it over exec.num_shards shared-nothing
 /// workers whose per-item builder states round-trip through the binary
 /// wire format (est/wire.h, docs/WIRE_FORMAT.md) before the gather merge.

@@ -88,8 +88,10 @@ struct AdmittedEstimate {
 };
 
 /// \brief Runs `plan` at admission scale `scale`: shrinks the sampling
-/// rates, re-derives the top GUS via SoaTransform, and estimates on the
-/// parallel streaming engine.
+/// rates, re-derives the top GUS via SoaTransform, and estimates through
+/// EstimatePlanParallel on the engine `exec.engine` names (set
+/// kMorselParallel for the parallel streaming engine; the default
+/// kRowAtATime runs the row oracle and needs a catalog with a row form).
 ///
 /// The report is exactly the shrunken design's honest analysis — unbiased
 /// estimate, CI widened by however much the admission control cost.

@@ -26,6 +26,7 @@
 namespace gus {
 namespace {
 
+using ::gus::testing::ColumnarExec;
 using ::gus::testing::MakeSingleTable;
 using ::gus::testing::MakeTinyJoin;
 
@@ -536,8 +537,9 @@ TEST(StreamingSboxTest, MatchesBatchEstimateWithoutSubsample) {
   Rng col_rng(seed);
   ASSERT_OK_AND_ASSIGN(
       SboxReport got,
-      EstimatePlanStreaming(setup.workload.plan, &columnar, &col_rng,
-                            setup.workload.aggregate, setup.soa.top));
+      EstimatePlanParallel(setup.workload.plan, &columnar, &col_rng,
+                           setup.workload.aggregate, setup.soa.top, {},
+                           ExecMode::kSampled, ColumnarExec()));
   ExpectReportsIdentical(expected, got);
 }
 
@@ -565,9 +567,9 @@ TEST(StreamingSboxTest, MatchesBatchEstimateWithSubsample) {
   Rng col_rng(seed);
   ASSERT_OK_AND_ASSIGN(
       SboxReport got,
-      EstimatePlanStreaming(setup.workload.plan, &columnar, &col_rng,
-                            setup.workload.aggregate, setup.soa.top,
-                            options));
+      EstimatePlanParallel(setup.workload.plan, &columnar, &col_rng,
+                           setup.workload.aggregate, setup.soa.top, options,
+                           ExecMode::kSampled, ColumnarExec()));
   ExpectReportsIdentical(expected, got);
 }
 
@@ -604,13 +606,6 @@ TEST(StreamingSboxTest, RetainedStateStaysBounded) {
 TEST(ExecutePlanToSinkTest, NeverMaterializingCountMatches) {
   // A trivial sink counting rows must see exactly the materialized total.
   Query1Setup setup = MakeQuery1Setup();
-  struct CountingSink final : public BatchSink {
-    int64_t rows = 0;
-    Status Consume(const ColumnBatch& batch) override {
-      rows += batch.num_rows();
-      return Status::OK();
-    }
-  };
   const uint64_t seed = 35;
   Rng row_rng(seed);
   ASSERT_OK_AND_ASSIGN(
@@ -619,10 +614,11 @@ TEST(ExecutePlanToSinkTest, NeverMaterializingCountMatches) {
 
   ColumnarCatalog columnar(&setup.catalog);
   Rng col_rng(seed);
-  CountingSink sink;
-  ASSERT_OK(ExecutePlanToSink(setup.workload.plan, &columnar, &col_rng,
-                              ExecMode::kSampled, &sink));
-  EXPECT_EQ(sample.num_rows(), sink.rows);
+  ASSERT_OK_AND_ASSIGN(
+      int64_t rows,
+      gus::testing::CountPlanRows(setup.workload.plan, &columnar, &col_rng,
+                                  ExecMode::kSampled, ColumnarExec()));
+  EXPECT_EQ(sample.num_rows(), rows);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 namespace gus {
 namespace {
 
+using ::gus::testing::ColumnarExec;
 using ::gus::testing::MakeTinyJoin;
 
 void ExpectReportsIdentical(const SboxReport& x, const SboxReport& y) {
@@ -130,6 +131,7 @@ TEST(DistTest, ShardedMatchesMorselEngine) {
   for (const int num_threads : {1, 4}) {
     SCOPED_TRACE(num_threads);
     ExecOptions exec = normalized;
+    exec.engine = ExecEngine::kMorselParallel;
     exec.num_threads = num_threads;
     Rng rng(17);
     ASSERT_OK_AND_ASSIGN(
@@ -198,7 +200,8 @@ TEST(DistTest, SerialFallbackPlanStillShards) {
   Rng rng(31);
   ASSERT_OK_AND_ASSIGN(
       SboxReport serial,
-      EstimatePlanStreaming(plan, &columnar, &rng, f, soa.top, {}));
+      EstimatePlanParallel(plan, &columnar, &rng, f, soa.top, {},
+                           ExecMode::kSampled, ColumnarExec()));
   for (const int num_shards : {1, 3}) {
     SCOPED_TRACE(num_shards);
     ASSERT_OK_AND_ASSIGN(
@@ -227,7 +230,8 @@ TEST(DistTest, UnionPlanShardsAndMatchesSerialStreaming) {
   Rng rng(33);
   ASSERT_OK_AND_ASSIGN(
       SboxReport serial,
-      EstimatePlanStreaming(plan, &columnar, &rng, f, soa.top, {}));
+      EstimatePlanParallel(plan, &columnar, &rng, f, soa.top, {},
+                           ExecMode::kSampled, ColumnarExec()));
   ExecOptions exec;
   exec.morsel_rows = 16;
   for (const int num_shards : {1, 2, 4}) {
@@ -347,15 +351,17 @@ TEST(DistTest, ExactModeMatchesSerialAndMorsel) {
   Rng serial_rng(37);
   ASSERT_OK_AND_ASSIGN(
       SboxReport serial,
-      EstimatePlanStreaming(fx.q1.plan, &columnar, &serial_rng,
-                            fx.q1.aggregate, fx.soa.top, fx.options,
-                            ExecMode::kExact));
+      EstimatePlanParallel(fx.q1.plan, &columnar, &serial_rng,
+                           fx.q1.aggregate, fx.soa.top, fx.options,
+                           ExecMode::kExact, ColumnarExec()));
   Rng morsel_rng(37);
+  ExecOptions morsel_exec = ShardedExecOptions(fx.exec);
+  morsel_exec.engine = ExecEngine::kMorselParallel;
   ASSERT_OK_AND_ASSIGN(
       SboxReport morsel,
       EstimatePlanParallel(fx.q1.plan, &columnar, &morsel_rng,
                            fx.q1.aggregate, fx.soa.top, fx.options,
-                           ExecMode::kExact, ShardedExecOptions(fx.exec)));
+                           ExecMode::kExact, morsel_exec));
   for (const int num_shards : {1, 4}) {
     SCOPED_TRACE(num_shards);
     ASSERT_OK_AND_ASSIGN(
@@ -386,7 +392,8 @@ TEST(DistTest, LineageBernoulliMatchesSerialEngines) {
   Rng rng(41);
   ASSERT_OK_AND_ASSIGN(
       SboxReport serial,
-      EstimatePlanStreaming(plan, &columnar, &rng, f, soa.top, {}));
+      EstimatePlanParallel(plan, &columnar, &rng, f, soa.top, {},
+                           ExecMode::kSampled, ColumnarExec()));
   ExecOptions exec;
   exec.morsel_rows = 64;
   for (const int num_shards : {1, 3}) {
@@ -582,8 +589,9 @@ TEST(DistTest, RelationEngineShardCountInvariance) {
 TEST(FaultToleranceTest, RetryableVsFatalClassification) {
   EXPECT_TRUE(IsRetryableShardFailure(Status::Unavailable("x")));
   EXPECT_TRUE(IsRetryableShardFailure(Status::DeadlineExceeded("x")));
-  EXPECT_TRUE(IsRetryableShardFailure(Status::KeyError("x")));
-  // Divergent-state failures must never be retried.
+  // Divergent-state failures must never be retried, nor a relation
+  // missing from the catalog (KeyError).
+  EXPECT_FALSE(IsRetryableShardFailure(Status::KeyError("x")));
   EXPECT_FALSE(IsRetryableShardFailure(Status::InvalidArgument("x")));
   EXPECT_FALSE(IsRetryableShardFailure(Status::Internal("x")));
   EXPECT_FALSE(IsRetryableShardFailure(Status::OK()));
@@ -792,6 +800,43 @@ TEST(FaultToleranceTest, ExhaustedRetriesFailLoudlyWithoutAllowPartial) {
   EXPECT_NE(std::string::npos, st.message().find("allow_partial"));
 }
 
+TEST(FaultToleranceTest, MissingRelationIsNeverRetried) {
+  // A relation missing from the catalog is permanent: no re-attempt can
+  // make it appear, so it fails at once instead of burning the retry
+  // budget (a missing *bundle* is Unavailable, and retried).
+  Query1Fixture fx;
+  Catalog without_orders = fx.catalog;
+  without_orders.erase("o");
+  ExecStats stats;
+  ExecOptions exec = fx.exec;
+  exec.retry.max_attempts = 3;
+  exec.stats = &stats;
+  EXPECT_STATUS_CODE(
+      kKeyError,
+      FaultTolerantShardedSboxEstimate(fx.q1.plan, without_orders, 17,
+                                       ExecMode::kSampled, exec, 3,
+                                       fx.q1.aggregate, fx.soa.top,
+                                       fx.options)
+          .status());
+  EXPECT_EQ(0, stats.shard_retries);
+
+  // The shard worker reports the same KeyError, and the attempt loop
+  // runs it exactly once.
+  ColumnarCatalog columnar(&without_orders);
+  ShardAttemptCounters counters;
+  const Result<std::string> outcome = RunShardAttempts(
+      exec.retry, /*shard=*/0,
+      [&](int k) {
+        return RunShardSbox(fx.q1.plan, &columnar, 17, ExecMode::kSampled,
+                            fx.exec, k, 3, fx.q1.aggregate, fx.soa.top,
+                            fx.options);
+      },
+      &counters);
+  EXPECT_STATUS_CODE(kKeyError, outcome.status());
+  EXPECT_EQ(1, counters.attempts.load());
+  EXPECT_EQ(0, counters.retries.load());
+}
+
 /// A transport that refuses shard `refused` with a divergent-state
 /// (fatal) error, as a version-skewed peer would; every other shard goes
 /// through a local mailbox.
@@ -988,7 +1033,7 @@ TEST(FaultToleranceTest, GatherPartialToleratesMissingShard) {
     ASSERT_OK(partial_transport.Send(k, std::move(bundle)));
   }
   // Without acknowledgement, the missing shard fails the gather.
-  EXPECT_STATUS_CODE(kKeyError,
+  EXPECT_STATUS_CODE(kUnavailable,
                      GatherSboxEstimatePartial(&strict_transport, 3,
                                                sp.split.pivot_relation,
                                                /*allow_partial=*/false)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -674,6 +675,71 @@ TEST(EngineParityTest, UnionFullMatrixBitParity) {
       PlanNode::Sample(SamplingSpec::WithoutReplacement(30, 120), scan));
   ExpectFullEngineMatrixParity(plan, catalog, 203, Col("v"),
                                /*rows_as_multiset=*/true);
+}
+
+TEST(EngineParityTest, FrontDoorSboxSinkParityAcrossEngines) {
+  // One SBox sink factory through ExecutePlanToSink on every engine of a
+  // WOR-pivot plan: the serial engines agree with each other, the
+  // partitioned engines with each other across threads and shards, and
+  // every engine sees the same sample.
+  Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();  // F: 120 rows
+  PlanPtr plan = PlanNode::Join(
+      PlanNode::Sample(SamplingSpec::WithoutReplacement(50, 120),
+                       PlanNode::Scan("F")),
+      PlanNode::Scan("D"), "fk", "pk");
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(plan));
+  const ExprPtr f = Mul(Col("v"), Col("w"));
+  SboxOptions options;
+  options.subsample = SubsampleConfig{};
+  options.subsample->target_rows = 40;  // engage the Section 7 path
+  ColumnarCatalog columnar(&catalog);
+  const auto run = [&](const ExecOptions& exec) -> Result<SboxReport> {
+    Rng rng(211);
+    std::unique_ptr<MergeableBatchSink> sink;
+    GUS_RETURN_NOT_OK(ExecutePlanToSink(
+        plan, &columnar, &rng, ExecMode::kSampled, exec,
+        [&](const BatchLayout& layout)
+            -> Result<std::unique_ptr<MergeableBatchSink>> {
+          GUS_ASSIGN_OR_RETURN(
+              StreamingSboxEstimator est,
+              StreamingSboxEstimator::Make(layout, f, soa.top, options));
+          return std::unique_ptr<MergeableBatchSink>(
+              new StreamingSboxEstimator(std::move(est)));
+        },
+        &sink));
+    return static_cast<StreamingSboxEstimator*>(sink.get())->Finish();
+  };
+
+  ExecOptions exec;
+  exec.morsel_rows = 16;
+  exec.engine = ExecEngine::kRowAtATime;
+  ASSERT_OK_AND_ASSIGN(SboxReport row, run(exec));
+  EXPECT_GT(row.sample_rows, 0);
+  exec.engine = ExecEngine::kColumnar;
+  ASSERT_OK_AND_ASSIGN(SboxReport col, run(exec));
+  ExpectReportsBitIdentical(row, col);
+
+  exec.engine = ExecEngine::kMorselParallel;
+  exec.num_threads = 1;
+  ASSERT_OK_AND_ASSIGN(SboxReport morsel, run(exec));
+  EXPECT_EQ(row.sample_rows, morsel.sample_rows);
+  exec.num_threads = 4;
+  {
+    SCOPED_TRACE("threads=4");
+    ASSERT_OK_AND_ASSIGN(SboxReport threaded, run(exec));
+    ExpectReportsBitIdentical(morsel, threaded);
+  }
+  exec.engine = ExecEngine::kSharded;
+  exec.num_threads = 2;
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    exec.num_shards = shards;
+    ASSERT_OK_AND_ASSIGN(SboxReport sharded, run(exec));
+    ExpectReportsBitIdentical(morsel, sharded);
+  }
+
+  exec.engine = ExecEngine::kServed;
+  EXPECT_STATUS_CODE(kInvalidArgument, run(exec).status());
 }
 
 TEST(EngineParityTest, SqlishApproxQueryAgrees) {

@@ -243,16 +243,14 @@ TEST(ParallelExecutorTest, StreamingReportMatchesMaterializedMorselRun) {
       SboxReport streamed,
       EstimatePlanParallel(plan, &col1, &rng1, Col("v"), soa.top, options,
                            ExecMode::kSampled, MorselOptions(4)));
-  ColumnarCatalog col2(&catalog);
   Rng rng2(33);
   ASSERT_OK_AND_ASSIGN(
-      ColumnarRelation mat,
-      ExecutePlanMorsel(plan, &col2, &rng2, ExecMode::kSampled,
-                        MorselOptions(4)));
+      Relation mat,
+      ExecutePlan(plan, catalog, &rng2, ExecMode::kSampled,
+                  MorselOptions(4)));
   ASSERT_OK_AND_ASSIGN(
       SampleView view,
-      SampleView::FromRelation(mat.ToRelation(), Col("v"),
-                               soa.top.schema()));
+      SampleView::FromRelation(mat, Col("v"), soa.top.schema()));
   ASSERT_OK_AND_ASSIGN(SboxReport materialized,
                        SboxEstimate(soa.top, view, options));
   EXPECT_EQ(streamed.estimate, materialized.estimate);
@@ -744,15 +742,41 @@ TEST(ParallelExecutorTest, StoreCountersObeyAccountingInvariant) {
   ExecStats stats;
   exec.stats = &stats;
   Rng rng(11);
-  ASSERT_OK_AND_ASSIGN(ColumnarRelation result,
-                       ExecutePlanMorsel(plan, stored_catalog.get(), &rng,
-                                         ExecMode::kSampled, exec));
-  EXPECT_GT(result.num_rows(), 0);
+  ASSERT_OK_AND_ASSIGN(int64_t rows,
+                       gus::testing::CountPlanRows(plan, stored_catalog.get(),
+                                                   &rng, ExecMode::kSampled,
+                                                   exec));
+  EXPECT_GT(rows, 0);
   EXPECT_EQ(16, stats.segments_total);
   EXPECT_GT(stats.segments_skipped, 0);
   EXPECT_EQ(stats.segments_total,
             stats.segments_skipped + stats.segments_faulted);
   EXPECT_GT(stats.store_bytes_read, 0);
+}
+
+TEST(ParallelExecutorTest, RowEngineNeedsARowCatalog) {
+  // The front door's row engine runs the row oracle, which a segment
+  // catalog (no row form) cannot feed.
+  Catalog catalog;
+  catalog["R"] = gus::testing::MakeSingleTable(64);
+  const std::string dir = ::testing::TempDir() + "/gus_store_row_engine";
+  std::filesystem::remove_all(dir);
+  ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/32));
+  ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
+  ExecOptions exec;
+  exec.engine = ExecEngine::kRowAtATime;
+  Rng rng(3);
+  EXPECT_STATUS_CODE(
+      kInvalidArgument,
+      gus::testing::CountPlanRows(PlanNode::Scan("R"), stored_catalog.get(),
+                                  &rng, ExecMode::kSampled, exec)
+          .status());
+  exec.engine = ExecEngine::kColumnar;
+  ASSERT_OK_AND_ASSIGN(
+      int64_t rows,
+      gus::testing::CountPlanRows(PlanNode::Scan("R"), stored_catalog.get(),
+                                  &rng, ExecMode::kSampled, exec));
+  EXPECT_EQ(64, rows);
 }
 
 }  // namespace

@@ -708,6 +708,25 @@ TEST(ServeTest, ViewCacheHitServesIdenticalBitsWithoutExecuting) {
   coordinator.Shutdown();
 }
 
+TEST(ServeTest, ViewCacheHitTimesItsEstimate) {
+  // A hit executes nothing, but its Finish is still the estimate phase.
+  ServeFixture fx;
+  Fleet fleet = StartFleet(fx, 1, "cache-time");
+  SessionCoordinator coordinator(fleet.endpoints);
+  ViewCache cache(8);
+  ServedRequest req = BaseRequest(67, &cache);
+  ASSERT_OK_AND_ASSIGN(ServedResult miss, coordinator.Execute("q1", req));
+  EXPECT_FALSE(miss.cache_hit);
+
+  ExecStats stats;
+  req.stats = &stats;
+  ASSERT_OK_AND_ASSIGN(ServedResult hit, coordinator.Execute("q1", req));
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(1, stats.cache_hits);
+  EXPECT_GT(stats.estimate_ms, 0.0);
+  coordinator.Shutdown();
+}
+
 TEST(ServeTest, ViewCacheInvalidatesByCatalogAndFailsLoudlyWhenPoisoned) {
   ServeFixture fx;
   Fleet fleet = StartFleet(fx, 1, "poison");

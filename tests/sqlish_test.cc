@@ -6,6 +6,10 @@
 #include <cmath>
 
 #include "data/tpch_gen.h"
+#include "est/group_by.h"
+#include "est/sample_view.h"
+#include "est/sbox.h"
+#include "plan/exec_stats.h"
 #include "plan/soa_transform.h"
 #include "sqlish/planner.h"
 #include "sqlish/tokenizer.h"
@@ -240,6 +244,92 @@ TEST_F(PlannerTest, RunApproxQuerySumIsConsistent) {
   EXPECT_DOUBLE_EQ(a.values[0].value, b.values[0].value);  // deterministic
 }
 
+TEST_F(PlannerTest, DefaultEngineMatchesMaterializedReferenceBitForBit) {
+  // The default (row) engine streams the oracle's relation through the
+  // front door into per-item builders; it must reproduce the materialize-
+  // then-estimate reference exactly: row ExecutePlan, then
+  // SampleView::FromRelation + SboxEstimate per ungrouped SUM item, or
+  // GroupedSumEstimate per grouped item.
+  const char* kUngrouped =
+      "SELECT SUM(l_discount * o_totalprice), SUM(l_quantity) "
+      "FROM l TABLESAMPLE (40 PERCENT), o TABLESAMPLE (150 ROWS) "
+      "WHERE l_orderkey = o_orderkey";
+  const char* kGrouped =
+      "SELECT SUM(l_quantity) FROM l TABLESAMPLE (50 PERCENT), o "
+      "WHERE l_orderkey = o_orderkey GROUP BY o_custkey";
+  SboxOptions subsampled;
+  subsampled.subsample = SubsampleConfig{};
+  subsampled.subsample->target_rows = 50;
+  for (const char* sql : {kUngrouped, kGrouped}) {
+    SCOPED_TRACE(sql);
+    ASSERT_OK_AND_ASSIGN(ParsedQuery parsed, ParseQuery(sql));
+    ASSERT_OK_AND_ASSIGN(PlannedQuery planned, PlanQuery(parsed, catalog_));
+    ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(planned.plan));
+    for (const SboxOptions& options : {SboxOptions{}, subsampled}) {
+      for (uint64_t seed = 1; seed <= 5; ++seed) {
+        SCOPED_TRACE(seed);
+        ASSERT_OK_AND_ASSIGN(ApproxResult got,
+                             RunApproxQuery(sql, catalog_, seed, options));
+        Rng rng(seed);
+        ASSERT_OK_AND_ASSIGN(Relation sample,
+                             ExecutePlan(planned.plan, catalog_, &rng));
+        EXPECT_EQ(sample.num_rows(), got.sample_rows);
+        std::vector<ApproxValue> want;
+        for (const SelectItem& item : planned.items) {
+          if (planned.group_by.empty()) {
+            ASSERT_OK_AND_ASSIGN(
+                SampleView view,
+                SampleView::FromRelation(sample, item.expr, soa.top.schema()));
+            ASSERT_OK_AND_ASSIGN(SboxReport report,
+                                 SboxEstimate(soa.top, view, options));
+            want.push_back({"", "", report.estimate, report.stddev,
+                            report.interval.lo, report.interval.hi});
+            continue;
+          }
+          ASSERT_OK_AND_ASSIGN(
+              std::vector<GroupEstimate> groups,
+              GroupedSumEstimate(soa.top, sample, item.expr,
+                                 planned.group_by, options.confidence_level,
+                                 options.bound_kind));
+          for (const GroupEstimate& ge : groups) {
+            want.push_back({"", planned.group_by + "=" + ge.key.ToString(),
+                            ge.estimate, ge.stddev, ge.interval.lo,
+                            ge.interval.hi});
+          }
+        }
+        ASSERT_EQ(want.size(), got.values.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          SCOPED_TRACE(i);
+          EXPECT_EQ(want[i].group, got.values[i].group);
+          EXPECT_EQ(want[i].value, got.values[i].value);
+          EXPECT_EQ(want[i].stddev, got.values[i].stddev);
+          EXPECT_EQ(want[i].lo, got.values[i].lo);
+          EXPECT_EQ(want[i].hi, got.values[i].hi);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(PlannerTest, EveryFrontDoorEngineTimesTheEstimate) {
+  const char* kSql =
+      "SELECT SUM(l_discount * o_totalprice), COUNT(*) "
+      "FROM l TABLESAMPLE (40 PERCENT), o TABLESAMPLE (150 ROWS) "
+      "WHERE l_orderkey = o_orderkey";
+  for (const ExecEngine engine :
+       {ExecEngine::kRowAtATime, ExecEngine::kColumnar,
+        ExecEngine::kMorselParallel}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    ExecStats stats;
+    ExecOptions exec;
+    exec.engine = engine;
+    exec.num_threads = 2;
+    exec.stats = &stats;
+    ASSERT_OK(RunApproxQuery(kSql, catalog_, 5, {}, exec).status());
+    EXPECT_GT(stats.estimate_ms, 0.0);
+  }
+}
+
 TEST_F(PlannerTest, UnsampledQueryIsExact) {
   ASSERT_OK_AND_ASSIGN(
       ApproxResult result,
@@ -299,6 +389,41 @@ TEST_F(PlannerTest, AppendedRowIsSeenByTheNextQuery) {
                     1e-9 * after.values[0].value);
         EXPECT_EQ(before.values[1].value + 1.0, after.values[1].value);
       }
+    }
+  }
+}
+
+// A base cell that disagrees with its column's type (Relation::AppendRow
+// does not check) has no columnar form. The row oracle still executes the
+// plan, but every RunApproxQuery engine, the default row engine included,
+// streams its result through columnar sinks and so reports TypeError.
+TEST_F(PlannerTest, IllTypedBaseCellIsATypeErrorOnEveryEngine) {
+  Relation r = Relation::MakeBase("r", Schema({{"x", ValueType::kInt64}}),
+                                  {Row{Value(1)}, Row{Value(2)}});
+  r.AppendRow(Row{Value(1.5)}, LineageRow{2});
+  Catalog catalog;
+  catalog.emplace("r", std::move(r));
+
+  Rng rng(1);
+  ASSERT_OK_AND_ASSIGN(
+      Relation rows,
+      ExecutePlan(PlanNode::Scan("r"), catalog, &rng, ExecMode::kExact));
+  EXPECT_EQ(3, rows.num_rows());
+
+  EXPECT_STATUS_CODE(kTypeError,
+                     RunApproxQuery("SELECT SUM(x) FROM r", catalog, 1)
+                         .status());
+  for (const char* sql :
+       {"SELECT SUM(x) FROM r", "SELECT SUM(x) FROM r GROUP BY x"}) {
+    for (const ExecEngine engine :
+         {ExecEngine::kRowAtATime, ExecEngine::kColumnar,
+          ExecEngine::kMorselParallel}) {
+      SCOPED_TRACE(sql);
+      SCOPED_TRACE(static_cast<int>(engine));
+      ExecOptions exec;
+      exec.engine = engine;
+      EXPECT_STATUS_CODE(kTypeError,
+                         RunApproxQuery(sql, catalog, 1, {}, exec).status());
     }
   }
 }

@@ -200,6 +200,7 @@ TEST(AdmissionTest, AdmittedEstimateStaysUnbiased) {
                                   PlanNode::Scan("D"));
   SboxOptions options;
   ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
   exec.morsel_rows = 8;
   MeanVar estimates;
   const int kTrials = 300;

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "plan/columnar_executor.h"
 #include "plan/executor.h"
 #include "rel/relation.h"
 #include "util/status.h"
@@ -85,6 +87,43 @@ inline Relation MakeSingleTable(int n, const std::string& name = "R") {
   }
   return Relation::MakeBase(name, Schema({{"v", ValueType::kFloat64}}),
                             std::move(rows));
+}
+
+/// The serial columnar engine of the execution front door (the
+/// single-stream estimator reference).
+inline ExecOptions ColumnarExec() {
+  ExecOptions exec;
+  exec.engine = ExecEngine::kColumnar;
+  return exec;
+}
+
+/// Counts the rows the execution front door emits, on any engine.
+class RowCountSink final : public MergeableBatchSink {
+ public:
+  Status Consume(const ColumnBatch& batch) override {
+    rows += batch.num_rows();
+    return Status::OK();
+  }
+  Status MergeFrom(BatchSink* other) override {
+    rows += static_cast<RowCountSink*>(other)->rows;
+    return Status::OK();
+  }
+
+  int64_t rows = 0;
+};
+
+/// ExecutePlanToSink over RowCountSinks; returns the emitted row count.
+inline Result<int64_t> CountPlanRows(const PlanPtr& plan,
+                                     ColumnarCatalog* catalog, Rng* rng,
+                                     ExecMode mode, const ExecOptions& exec) {
+  std::unique_ptr<MergeableBatchSink> sink;
+  GUS_RETURN_NOT_OK(ExecutePlanToSink(
+      plan, catalog, rng, mode, exec,
+      [](const BatchLayout&) -> Result<std::unique_ptr<MergeableBatchSink>> {
+        return std::unique_ptr<MergeableBatchSink>(new RowCountSink());
+      },
+      &sink));
+  return static_cast<RowCountSink*>(sink.get())->rows;
 }
 
 }  // namespace testing
