@@ -388,15 +388,6 @@ void JoinAbandonedShardAttempts() {
   for (std::thread& t : take) t.join();
 }
 
-Result<std::vector<WireSectionView>> ReceiveShardSections(
-    ShardTransport* transport, int shard_index, std::vector<ShardMeta>* metas,
-    std::string* rng_fingerprint, std::vector<std::string>* sampler_payloads,
-    std::string* bundle_storage) {
-  GUS_ASSIGN_OR_RETURN(*bundle_storage, transport->Receive(shard_index));
-  return ParseShardSections(*bundle_storage, shard_index, metas,
-                            rng_fingerprint, sampler_payloads);
-}
-
 Status ValidateShardSamplerStates(
     const std::vector<std::string>& sampler_payloads) {
   for (size_t k = 1; k < sampler_payloads.size(); ++k) {

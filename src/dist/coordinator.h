@@ -44,25 +44,6 @@
 
 namespace gus {
 
-/// \brief The shared first half of every gather step: receive shard
-/// `shard_index`'s bundle, parse and checksum it, record its META in
-/// `*metas`, enforce the RNGS seed fingerprint against `*rng_fingerprint`
-/// (adopted from the first bundle when empty), and require a well-formed
-/// SMPL resolved-sampler section.
-///
-/// Every gather (SBox here, per-item sqlish in sqlish/planner.cc) goes
-/// through this one implementation so a hardened consistency contract
-/// applies everywhere at once. The SMPL payload is parsed for
-/// well-formedness and appended to `*sampler_payloads` (byte-compared
-/// across shards later). The returned section views borrow
-/// `*bundle_storage`, which receives the raw bundle bytes and must
-/// outlive them. Callers finish with ValidateShardMetas +
-/// ValidateShardSamplerStates once all shards are in.
-Result<std::vector<WireSectionView>> ReceiveShardSections(
-    ShardTransport* transport, int shard_index, std::vector<ShardMeta>* metas,
-    std::string* rng_fingerprint, std::vector<std::string>* sampler_payloads,
-    std::string* bundle_storage);
-
 /// \brief Cross-shard equality of the SMPL resolved-sampler payloads
 /// (index order, shard 0 as the reference).
 ///

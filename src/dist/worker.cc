@@ -1,6 +1,12 @@
 #include "dist/worker.h"
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "est/streaming.h"
+#include "est/wire.h"
+#include "plan/parallel_executor.h"
 #include "util/fault_inject.h"
 #include "util/random.h"
 
@@ -29,11 +35,12 @@ Status AnnotateShard(Status st, int shard_index, const char* site) {
   }
 }
 
-}  // namespace
-
+/// \brief Serializes a shard run's common sections (META, the worker's
+/// seed-derived RNGS fingerprint, the SMPL resolved-sampler state) plus
+/// the shard's SBOX estimator state.
 std::string BuildShardBundle(
     const ShardMeta& meta, const std::vector<ResolvedPivotSampler>& samplers,
-    const std::vector<std::pair<WireTag, std::string>>& extra) {
+    const std::string& sbox_state) {
   WireBundleWriter bundle;
   bundle.AddSection(WireTag::kMeta, ShardMetaToBytes(meta));
   // The RNGS fingerprint is the worker's *initial* stream position,
@@ -45,18 +52,16 @@ std::string BuildShardBundle(
   // byte-equality proves the workers agreed on the global WOR / WR /
   // block draws their slices were filtered against.
   bundle.AddSection(WireTag::kSamplerState, SamplerStateToBytes(samplers));
-  for (const auto& [tag, payload] : extra) {
-    bundle.AddSection(tag, payload);
-  }
+  bundle.AddSection(WireTag::kSboxState, sbox_state);
   return bundle.Finish();
 }
 
-Status RunShardToSink(
+}  // namespace
+
+Result<std::string> RunShardSbox(
     const PlanPtr& plan, ColumnarCatalog* catalog, uint64_t seed,
     ExecMode mode, const ExecOptions& exec, int shard_index, int num_shards,
-    const MorselSinkFactory& make_sink,
-    std::unique_ptr<MergeableBatchSink>* out, ShardMeta* meta,
-    std::vector<ResolvedPivotSampler>* samplers,
+    const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
     const std::optional<uint64_t>& expected_catalog_fingerprint) {
   if (shard_index < 0 || shard_index >= num_shards) {
     return Status::InvalidArgument(
@@ -85,59 +90,45 @@ Status RunShardToSink(
 
   Rng rng(seed);
   uint64_t stream_base = 0;
-  std::vector<ResolvedPivotSampler> resolved;
+  std::vector<ResolvedPivotSampler> samplers;
+  std::unique_ptr<MergeableBatchSink> sink;
   // Injection site: failure/hang/death mid-execution of the unit range.
   GUS_RETURN_NOT_OK(AnnotateShard(
       FaultInjector::Global()->Hit("worker.execute", shard_index),
       shard_index, "worker.execute"));
   GUS_RETURN_NOT_OK(AnnotateShard(
-      ParallelExecuteUnitRangeToSink(plan, catalog, &rng, mode, normalized,
-                                     spec.unit_begin, spec.unit_end, make_sink,
-                                     out, &stream_base, &resolved),
+      ParallelExecuteUnitRangeToSink(
+          plan, catalog, &rng, mode, normalized, spec.unit_begin,
+          spec.unit_end,
+          [&](const BatchLayout& layout)
+              -> Result<std::unique_ptr<MergeableBatchSink>> {
+            GUS_ASSIGN_OR_RETURN(
+                StreamingSboxEstimator est,
+                StreamingSboxEstimator::Make(layout, f_expr, gus, options));
+            return std::unique_ptr<MergeableBatchSink>(
+                new StreamingSboxEstimator(std::move(est)));
+          },
+          &sink, &stream_base, &samplers),
       shard_index, "worker.execute"));
-  if (samplers != nullptr) *samplers = resolved;
-
-  meta->shard_index = static_cast<uint32_t>(shard_index);
-  meta->num_shards = static_cast<uint32_t>(num_shards);
-  meta->unit_begin = spec.unit_begin;
-  meta->unit_end = spec.unit_end;
-  meta->num_units = sp.split.num_units;
-  meta->morsel_rows = sp.split.partitionable ? sp.split.morsel_rows : 0;
-  meta->seed = seed;
-  meta->stream_base = stream_base;
-  meta->catalog_fingerprint = catalog_fingerprint;
-  meta->rows = 0;  // sink-dependent; the caller fills it in
-  return Status::OK();
-}
-
-Result<std::string> RunShardSbox(
-    const PlanPtr& plan, ColumnarCatalog* catalog, uint64_t seed,
-    ExecMode mode, const ExecOptions& exec, int shard_index, int num_shards,
-    const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
-    const std::optional<uint64_t>& expected_catalog_fingerprint) {
-  std::unique_ptr<MergeableBatchSink> sink;
-  ShardMeta meta;
-  std::vector<ResolvedPivotSampler> samplers;
-  GUS_RETURN_NOT_OK(RunShardToSink(
-      plan, catalog, seed, mode, exec, shard_index, num_shards,
-      [&](const BatchLayout& layout)
-          -> Result<std::unique_ptr<MergeableBatchSink>> {
-        GUS_ASSIGN_OR_RETURN(
-            StreamingSboxEstimator est,
-            StreamingSboxEstimator::Make(layout, f_expr, gus, options));
-        return std::unique_ptr<MergeableBatchSink>(
-            new StreamingSboxEstimator(std::move(est)));
-      },
-      &sink, &meta, &samplers, expected_catalog_fingerprint));
   auto* est = static_cast<StreamingSboxEstimator*>(sink.get());
+
+  ShardMeta meta;
+  meta.shard_index = static_cast<uint32_t>(shard_index);
+  meta.num_shards = static_cast<uint32_t>(num_shards);
+  meta.unit_begin = spec.unit_begin;
+  meta.unit_end = spec.unit_end;
+  meta.num_units = sp.split.num_units;
+  meta.morsel_rows = sp.split.partitionable ? sp.split.morsel_rows : 0;
+  meta.seed = seed;
+  meta.stream_base = stream_base;
+  meta.catalog_fingerprint = catalog_fingerprint;
   meta.rows = est->rows_seen();
   // Injection site: the range executed, but the bundle never materializes
   // (death/failure between execution and serialization).
   GUS_RETURN_NOT_OK(AnnotateShard(
       FaultInjector::Global()->Hit("worker.bundle", shard_index), shard_index,
       "worker.bundle"));
-  return BuildShardBundle(meta, samplers,
-                          {{WireTag::kSboxState, est->SerializeState()}});
+  return BuildShardBundle(meta, samplers, est->SerializeState());
 }
 
 }  // namespace gus

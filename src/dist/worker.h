@@ -17,32 +17,17 @@
 #define GUS_DIST_WORKER_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "algebra/gus_params.h"
 #include "dist/shard.h"
 #include "est/sbox.h"
-#include "est/wire.h"
 #include "plan/columnar_executor.h"
-#include "plan/parallel_executor.h"
 #include "rel/expression.h"
 #include "util/status.h"
 
 namespace gus {
-
-/// \brief Serializes a shard run's common sections (META, the worker's
-/// seed-derived RNGS fingerprint, the SMPL resolved-sampler state) plus
-/// caller-provided payload sections.
-///
-/// `extra` are (tag, payload) pairs appended after META/RNGS/SMPL in order.
-std::string BuildShardBundle(
-    const ShardMeta& meta,
-    const std::vector<ResolvedPivotSampler>& samplers,
-    const std::vector<std::pair<WireTag, std::string>>& extra);
 
 /// \brief Executes shard `shard_index` of `plan` and streams its slice
 /// into a StreamingSboxEstimator; returns the serialized bundle
@@ -59,19 +44,6 @@ Result<std::string> RunShardSbox(
     const PlanPtr& plan, ColumnarCatalog* catalog, uint64_t seed,
     ExecMode mode, const ExecOptions& exec, int shard_index, int num_shards,
     const ExprPtr& f_expr, const GusParams& gus, const SboxOptions& options,
-    const std::optional<uint64_t>& expected_catalog_fingerprint =
-        std::nullopt);
-
-/// \brief Generic shard execution: runs the unit range into sinks from
-/// `make_sink` and returns (merged sink, filled META, resolved samplers)
-/// for the caller to serialize. The sqlish kSharded path builds its
-/// per-item bundles on this.
-Status RunShardToSink(
-    const PlanPtr& plan, ColumnarCatalog* catalog, uint64_t seed,
-    ExecMode mode, const ExecOptions& exec, int shard_index, int num_shards,
-    const MorselSinkFactory& make_sink,
-    std::unique_ptr<MergeableBatchSink>* out, ShardMeta* meta,
-    std::vector<ResolvedPivotSampler>* samplers = nullptr,
     const std::optional<uint64_t>& expected_catalog_fingerprint =
         std::nullopt);
 

@@ -66,7 +66,7 @@ enum class ExecMode { kSampled, kExact };
 /// auto-sized, so the split never depends on num_threads either.
 ///
 /// kServed is the estimator-only serving engine (sqlish RunApproxQuery):
-/// the kSharded scatter/gather fronted by the approximate-view cache
+/// the front door's kSharded run fronted by the approximate-view cache
 /// (serve/view_cache.h) — a repeated (query, catalog content, seed,
 /// morsel geometry) answers from cached merged builder state, executing
 /// nothing, with the identical result bits. The front door rejects it.

@@ -5,12 +5,10 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
-#include "dist/coordinator.h"
 #include "dist/shard.h"
-#include "dist/transport.h"
-#include "dist/worker.h"
 #include "est/confidence.h"
 #include "est/group_by.h"
 #include "est/ratio.h"
@@ -18,7 +16,6 @@
 #include "est/wire.h"
 #include "plan/columnar_executor.h"
 #include "plan/exec_stats.h"
-#include "plan/parallel_executor.h"
 #include "plan/soa_transform.h"
 #include "serve/view_cache.h"
 
@@ -56,20 +53,6 @@ Result<std::unordered_map<std::string, std::string>> BuildColumnMap(
   return owner;
 }
 
-/// Tables referenced by an expression (empty for constant expressions).
-void CollectTables(const ExprPtr& expr,
-                   const std::unordered_map<std::string, std::string>& owner,
-                   std::set<std::string>* out) {
-  if (expr->op() == ExprOp::kColumn) {
-    auto it = owner.find(expr->column_name());
-    if (it != owner.end()) out->insert(it->second);
-    return;
-  }
-  if (expr->op() == ExprOp::kLiteral) return;
-  CollectTables(expr->left(), owner, out);
-  if (expr->right() != nullptr) CollectTables(expr->right(), owner, out);
-}
-
 struct JoinPredicate {
   std::string left_table, left_column;
   std::string right_table, right_column;
@@ -84,13 +67,6 @@ Result<PlannedQuery> PlanQuery(const ParsedQuery& parsed,
     return Status::InvalidArgument("query needs at least one table");
   }
   GUS_ASSIGN_OR_RETURN(auto owner, BuildColumnMap(parsed, catalog));
-
-  // Validate select-list columns resolve.
-  for (const SelectItem& item : parsed.items) {
-    std::set<std::string> used;
-    CollectTables(item.expr, owner, &used);
-    (void)used;
-  }
 
   // Split WHERE into equi-join predicates and filters.
   std::vector<JoinPredicate> joins;
@@ -322,9 +298,65 @@ class ItemFanoutSink final : public MergeableBatchSink {
     return Status::OK();
   }
 
+  /// \brief The kServed view-cache entry: a wire bundle of META (just the
+  /// i64 row count, a private mini-payload only DeserializeState reads)
+  /// then one VBLD (ungrouped) or GRUP (grouped) section per item.
+  std::string SerializeState() const {
+    WireBundleWriter bundle;
+    WireWriter meta;
+    meta.PutI64(sample_rows_);
+    bundle.AddSection(WireTag::kMeta, meta.Take());
+    for (const SampleViewBuilder& builder : views_) {
+      bundle.AddSection(WireTag::kViewBuilder, builder.SerializeState());
+    }
+    for (const GroupedSumBuilder& builder : groups_) {
+      bundle.AddSection(WireTag::kGroupedSum, builder.SerializeState());
+    }
+    return bundle.Finish();
+  }
+
+  /// Rebuilds the sink a SerializeState entry holds for a query of
+  /// `num_items` select items. A poisoned entry fails loudly (container
+  /// checksum, META shape, item count), never serves damaged numbers.
+  static Result<std::unique_ptr<ItemFanoutSink>> DeserializeState(
+      std::string_view bytes, size_t num_items, bool grouped) {
+    GUS_ASSIGN_OR_RETURN(std::vector<WireSectionView> sections,
+                         ParseWireBundle(bytes));
+    GUS_ASSIGN_OR_RETURN(WireSectionView meta,
+                         FindWireSection(sections, WireTag::kMeta));
+    auto sink = std::unique_ptr<ItemFanoutSink>(new ItemFanoutSink());
+    WireReader r(meta.payload);
+    GUS_RETURN_NOT_OK(r.ReadI64(&sink->sample_rows_));
+    GUS_RETURN_NOT_OK(r.ExpectEnd());
+    const WireTag item_tag =
+        grouped ? WireTag::kGroupedSum : WireTag::kViewBuilder;
+    for (const WireSectionView& section : sections) {
+      if (section.tag != item_tag) continue;
+      if (grouped) {
+        GUS_ASSIGN_OR_RETURN(
+            GroupedSumBuilder builder,
+            GroupedSumBuilder::DeserializeState(section.payload));
+        sink->groups_.push_back(std::move(builder));
+      } else {
+        GUS_ASSIGN_OR_RETURN(
+            SampleViewBuilder builder,
+            SampleViewBuilder::DeserializeState(section.payload));
+        sink->views_.push_back(std::move(builder));
+      }
+    }
+    const size_t items = grouped ? sink->groups_.size() : sink->views_.size();
+    if (items != num_items) {
+      return Status::InvalidArgument(
+          "view-cache entry carries " + std::to_string(items) +
+          " item states, expected " + std::to_string(num_items) +
+          "; refusing to serve");
+    }
+    return sink;
+  }
+
   int64_t sample_rows() const { return sample_rows_; }
-  std::vector<SampleViewBuilder>* views() { return &views_; }
-  std::vector<GroupedSumBuilder>* groups() { return &groups_; }
+  std::vector<SampleViewBuilder>& views() { return views_; }
+  std::vector<GroupedSumBuilder>& groups() { return groups_; }
 
  private:
   ItemFanoutSink() = default;
@@ -334,41 +366,27 @@ class ItemFanoutSink final : public MergeableBatchSink {
   std::vector<GroupedSumBuilder> groups_;
 };
 
-/// ItemFanoutSinks for `planned`'s select items.
-MorselSinkFactory ItemFanoutFactory(const PlannedQuery& planned,
-                                    const SoaResult& soa) {
-  return [&planned, &soa](const BatchLayout& layout)
-             -> Result<std::unique_ptr<MergeableBatchSink>> {
-    GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
-                         ItemFanoutSink::Make(layout, planned.items,
-                                              soa.top.schema(),
-                                              planned.group_by));
-    return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
-  };
-}
-
 /// The estimate tail every engine shares: per-item estimation over the
-/// merged builders (views when ungrouped, group tables otherwise), exactly
-/// one of which is populated. `stats`, when set, receives its wall time in
-/// estimate_ms.
-Result<ApproxResult> EstimateFromBuilders(
-    const PlannedQuery& planned, const SoaResult& soa,
-    const SboxOptions& options, int64_t sample_rows,
-    std::vector<SampleViewBuilder>* views,
-    std::vector<GroupedSumBuilder>* groups, ExecStats* stats) {
+/// merged sink's builders (views when ungrouped, group tables otherwise).
+/// `stats`, when set, receives its wall time in estimate_ms.
+Result<ApproxResult> EstimateFromBuilders(const PlannedQuery& planned,
+                                          const SoaResult& soa,
+                                          const SboxOptions& options,
+                                          ItemFanoutSink* fanout,
+                                          ExecStats* stats) {
   return TimeEstimate(stats, [&]() -> Result<ApproxResult> {
     ApproxResult result;
-    result.sample_rows = sample_rows;
+    result.sample_rows = fanout->sample_rows();
     for (size_t i = 0; i < planned.items.size(); ++i) {
       if (planned.group_by.empty()) {
         GUS_ASSIGN_OR_RETURN(ApproxValue value,
                              EstimateItem(planned.items[i], soa.top,
-                                          (*views)[i].view(), options));
+                                          fanout->views()[i].view(), options));
         result.values.push_back(std::move(value));
       } else {
         GUS_ASSIGN_OR_RETURN(
             auto estimates,
-            (*groups)[i].Finish(soa.top, options.confidence_level,
+            fanout->groups()[i].Finish(soa.top, options.confidence_level,
                                 options.bound_kind));
         for (const GroupEstimate& ge : estimates) {
           ApproxValue value;
@@ -386,144 +404,40 @@ Result<ApproxResult> EstimateFromBuilders(
   });
 }
 
-/// \brief The scatter/gather core shared by kSharded and kServed:
-/// scatter the query over num_shards shared-nothing workers, each
-/// serializing its per-item builder states into an est/wire bundle, then
-/// gather — deserialize and merge in shard order — leaving the merged
-/// builders (and row count) with the caller.
-///
-/// The per-shard states round-trip through the real wire format and a
-/// ShardTransport even in this single-process form, so the cross-node
-/// contract is exercised on every kSharded query, not only in tests.
-Status RunShardedCore(const PlannedQuery& planned, const SoaResult& soa,
-                      const Catalog& catalog, uint64_t seed,
-                      const ExecOptions& exec,
-                      std::vector<SampleViewBuilder>* out_views,
-                      std::vector<GroupedSumBuilder>* out_groups,
-                      int64_t* out_sample_rows) {
-  ColumnarCatalog columnar(&catalog);
-  LocalTransport transport;
-  const int num_shards = exec.num_shards;
-
-  // Scatter: every worker recomputes the deterministic shard plan and
-  // executes only its contiguous unit range.
-  for (int k = 0; k < num_shards; ++k) {
-    std::unique_ptr<MergeableBatchSink> sink;
-    ShardMeta meta;
-    std::vector<ResolvedPivotSampler> samplers;
-    GUS_RETURN_NOT_OK(RunShardToSink(
-        planned.plan, &columnar, seed, ExecMode::kSampled, exec, k,
-        num_shards, ItemFanoutFactory(planned, soa), &sink, &meta,
-        &samplers));
-    auto* fanout = static_cast<ItemFanoutSink*>(sink.get());
-    meta.rows = fanout->sample_rows();
-    std::vector<std::pair<WireTag, std::string>> item_sections;
-    item_sections.reserve(planned.items.size());
-    if (planned.group_by.empty()) {
-      for (const SampleViewBuilder& builder : *fanout->views()) {
-        item_sections.emplace_back(WireTag::kViewBuilder,
-                                   builder.SerializeState());
-      }
-    } else {
-      for (const GroupedSumBuilder& builder : *fanout->groups()) {
-        item_sections.emplace_back(WireTag::kGroupedSum,
-                                   builder.SerializeState());
-      }
-    }
-    GUS_RETURN_NOT_OK(
-        transport.Send(k, BuildShardBundle(meta, samplers, item_sections)));
-  }
-
-  // Gather: deserialize and fold shard states in ascending shard order
-  // (the same global unit order the morsel engine merges in).
-  std::vector<ShardMeta> metas;
-  metas.reserve(num_shards);
-  std::vector<std::string> sampler_payloads;
-  sampler_payloads.reserve(num_shards);
-  std::vector<SampleViewBuilder> views;
-  std::vector<GroupedSumBuilder> groups;
-  int64_t sample_rows = 0;
-  std::string rng_fingerprint;
-  const WireTag item_tag = planned.group_by.empty() ? WireTag::kViewBuilder
-                                                    : WireTag::kGroupedSum;
-  for (int k = 0; k < num_shards; ++k) {
-    std::string bundle;
-    GUS_ASSIGN_OR_RETURN(
-        std::vector<WireSectionView> sections,
-        ReceiveShardSections(&transport, k, &metas, &rng_fingerprint,
-                             &sampler_payloads, &bundle));
-    sample_rows += metas.back().rows;
-    size_t matching = 0;
-    for (const WireSectionView& section : sections) {
-      if (section.tag == item_tag) ++matching;
-    }
-    if (matching != planned.items.size()) {
-      return Status::InvalidArgument(
-          "shard " + std::to_string(k) + " bundle carries " +
-          std::to_string(matching) + " item states, expected " +
-          std::to_string(planned.items.size()));
-    }
-    size_t item = 0;
-    for (const WireSectionView& section : sections) {
-      if (section.tag != item_tag) continue;
-      if (planned.group_by.empty()) {
-        GUS_ASSIGN_OR_RETURN(
-            SampleViewBuilder builder,
-            SampleViewBuilder::DeserializeState(section.payload));
-        if (k == 0) {
-          views.push_back(std::move(builder));
-        } else {
-          GUS_RETURN_NOT_OK(views[item].Merge(std::move(builder)));
-        }
-      } else {
-        GUS_ASSIGN_OR_RETURN(
-            GroupedSumBuilder builder,
-            GroupedSumBuilder::DeserializeState(section.payload));
-        if (k == 0) {
-          groups.push_back(std::move(builder));
-        } else {
-          GUS_RETURN_NOT_OK(groups[item].Merge(std::move(builder)));
-        }
-      }
-      ++item;
-    }
-  }
-  GUS_RETURN_NOT_OK(ValidateShardMetas(metas));
-  GUS_RETURN_NOT_OK(ValidateShardSamplerStates(sampler_payloads));
-  *out_views = std::move(views);
-  *out_groups = std::move(groups);
-  *out_sample_rows = sample_rows;
-  return Status::OK();
+/// Runs `planned` through the front door (ExecutePlanToSink) on
+/// exec.engine into one merged ItemFanoutSink.
+Result<std::unique_ptr<ItemFanoutSink>> ExecuteToFanout(
+    const PlannedQuery& planned, const SoaResult& soa,
+    ColumnarCatalog* columnar, uint64_t seed, const ExecOptions& exec) {
+  Rng rng(seed);
+  std::unique_ptr<MergeableBatchSink> sink;
+  GUS_RETURN_NOT_OK(ExecutePlanToSink(
+      planned.plan, columnar, &rng, ExecMode::kSampled, exec,
+      [&planned, &soa](const BatchLayout& layout)
+          -> Result<std::unique_ptr<MergeableBatchSink>> {
+        GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
+                             ItemFanoutSink::Make(layout, planned.items,
+                                                  soa.top.schema(),
+                                                  planned.group_by));
+        return std::unique_ptr<MergeableBatchSink>(std::move(fanout));
+      },
+      &sink));
+  return std::unique_ptr<ItemFanoutSink>(
+      static_cast<ItemFanoutSink*>(sink.release()));
 }
 
-/// Sharded path (ExecEngine::kSharded): the core plus per-item estimation.
-Result<ApproxResult> RunSharded(const PlannedQuery& planned,
-                                const SoaResult& soa, const Catalog& catalog,
-                                uint64_t seed, const SboxOptions& options,
-                                const ExecOptions& exec) {
-  std::vector<SampleViewBuilder> views;
-  std::vector<GroupedSumBuilder> groups;
-  int64_t sample_rows = 0;
-  GUS_RETURN_NOT_OK(RunShardedCore(planned, soa, catalog, seed, exec, &views,
-                                   &groups, &sample_rows));
-  return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                              &groups, exec.stats);
-}
-
-/// \brief Served path (ExecEngine::kServed): the sharded core fronted by
-/// the process-wide approximate-view cache.
+/// \brief Served path (ExecEngine::kServed): kSharded fronted by the
+/// process-wide approximate-view cache.
 ///
-/// The cache entry is a checksummed wire bundle holding the *merged*
-/// per-item builder states plus the row count (a private META mini-payload
-/// — just the i64 row count; only this reader consumes it). Builder
-/// serialization round-trips bit-exactly, so a hit reproduces the miss's
-/// ApproxResult to the last bit while executing nothing — ExecStats'
-/// cache counters prove which path ran. Keyed on (sql + estimator
-/// options, catalog content, seed, normalized morsel geometry);
+/// The cache entry is the merged ItemFanoutSink's SerializeState bundle.
+/// Builder serialization round-trips bit-exactly, so a hit reproduces the
+/// miss's ApproxResult to the last bit while executing nothing —
+/// ExecStats' cache counters prove which path ran. Keyed on (sql +
+/// estimator options, catalog content, seed, normalized morsel geometry);
 /// num_shards is absent because kSharded results are shard-count
 /// invariant.
 Result<ApproxResult> RunServed(const PlannedQuery& planned,
-                               const SoaResult& soa, const Catalog& catalog,
+                               const SoaResult& soa, ColumnarCatalog* columnar,
                                const std::string& sql, uint64_t seed,
                                const SboxOptions& options,
                                const ExecOptions& exec) {
@@ -541,11 +455,8 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
     }
     key.query_fingerprint = WireChecksum(w.buffer());
   }
-  {
-    ColumnarCatalog columnar(&catalog);
-    GUS_ASSIGN_OR_RETURN(key.catalog_fingerprint,
-                         PlanCatalogFingerprint(planned.plan, &columnar));
-  }
+  GUS_ASSIGN_OR_RETURN(key.catalog_fingerprint,
+                       PlanCatalogFingerprint(planned.plan, columnar));
   key.seed = seed;
   key.morsel_rows = ShardedExecOptions(exec).morsel_rows;
   {
@@ -555,70 +466,23 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
     key.scale_bits = bits;
   }
 
-  const WireTag item_tag = planned.group_by.empty() ? WireTag::kViewBuilder
-                                                    : WireTag::kGroupedSum;
+  std::unique_ptr<ItemFanoutSink> fanout;
   std::optional<std::string> cached = cache->Lookup(key);
   if (cached.has_value()) {
     if (exec.stats != nullptr) ++exec.stats->cache_hits;
-    // A poisoned entry fails loudly here (container checksum / section
-    // shape), never silently re-executes or serves damaged numbers.
-    GUS_ASSIGN_OR_RETURN(std::vector<WireSectionView> sections,
-                         ParseWireBundle(*cached));
-    GUS_ASSIGN_OR_RETURN(WireSectionView meta,
-                         FindWireSection(sections, WireTag::kMeta));
-    WireReader r(meta.payload);
-    int64_t sample_rows = 0;
-    GUS_RETURN_NOT_OK(r.ReadI64(&sample_rows));
-    GUS_RETURN_NOT_OK(r.ExpectEnd());
-    std::vector<SampleViewBuilder> views;
-    std::vector<GroupedSumBuilder> groups;
-    for (const WireSectionView& section : sections) {
-      if (section.tag != item_tag) continue;
-      if (planned.group_by.empty()) {
-        GUS_ASSIGN_OR_RETURN(
-            SampleViewBuilder builder,
-            SampleViewBuilder::DeserializeState(section.payload));
-        views.push_back(std::move(builder));
-      } else {
-        GUS_ASSIGN_OR_RETURN(
-            GroupedSumBuilder builder,
-            GroupedSumBuilder::DeserializeState(section.payload));
-        groups.push_back(std::move(builder));
-      }
-    }
-    const size_t cached_items =
-        planned.group_by.empty() ? views.size() : groups.size();
-    if (cached_items != planned.items.size()) {
-      return Status::InvalidArgument(
-          "view-cache entry carries " + std::to_string(cached_items) +
-          " item states, expected " + std::to_string(planned.items.size()) +
-          "; refusing to serve");
-    }
-    return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                                &groups, exec.stats);
+    GUS_ASSIGN_OR_RETURN(fanout,
+                         ItemFanoutSink::DeserializeState(
+                             *cached, planned.items.size(),
+                             !planned.group_by.empty()));
+  } else {
+    ExecOptions sharded = exec;
+    sharded.engine = ExecEngine::kSharded;
+    GUS_ASSIGN_OR_RETURN(fanout, ExecuteToFanout(planned, soa, columnar, seed,
+                                                 sharded));
+    if (exec.stats != nullptr) ++exec.stats->cache_misses;
+    cache->Insert(key, fanout->SerializeState());
   }
-
-  std::vector<SampleViewBuilder> views;
-  std::vector<GroupedSumBuilder> groups;
-  int64_t sample_rows = 0;
-  GUS_RETURN_NOT_OK(RunShardedCore(planned, soa, catalog, seed, exec, &views,
-                                   &groups, &sample_rows));
-  if (exec.stats != nullptr) ++exec.stats->cache_misses;
-  WireBundleWriter bundle;
-  {
-    WireWriter meta;
-    meta.PutI64(sample_rows);
-    bundle.AddSection(WireTag::kMeta, meta.Take());
-  }
-  for (const SampleViewBuilder& builder : views) {
-    bundle.AddSection(item_tag, builder.SerializeState());
-  }
-  for (const GroupedSumBuilder& builder : groups) {
-    bundle.AddSection(item_tag, builder.SerializeState());
-  }
-  cache->Insert(key, bundle.Finish());
-  return EstimateFromBuilders(planned, soa, options, sample_rows, &views,
-                              &groups, exec.stats);
+  return EstimateFromBuilders(planned, soa, options, fanout.get(), exec.stats);
 }
 
 }  // namespace
@@ -640,25 +504,13 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
   GUS_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(sql));
   GUS_ASSIGN_OR_RETURN(PlannedQuery planned, PlanQuery(parsed, catalog));
   GUS_ASSIGN_OR_RETURN(SoaResult soa, SoaTransform(planned.plan));
-
-  // The two wire routes: per-item builder states travel as est/wire
-  // bundles (and, for kServed, through the view cache). Every other engine
-  // goes through the front door into one fan-out sink.
-  if (exec.engine == ExecEngine::kServed) {
-    return RunServed(planned, soa, catalog, sql, seed, options, exec);
-  }
-  if (exec.engine == ExecEngine::kSharded) {
-    return RunSharded(planned, soa, catalog, seed, options, exec);
-  }
   ColumnarCatalog columnar(&catalog);
-  Rng rng(seed);
-  std::unique_ptr<MergeableBatchSink> sink;
-  GUS_RETURN_NOT_OK(ExecutePlanToSink(planned.plan, &columnar, &rng,
-                                      ExecMode::kSampled, exec,
-                                      ItemFanoutFactory(planned, soa), &sink));
-  auto* fanout = static_cast<ItemFanoutSink*>(sink.get());
-  return EstimateFromBuilders(planned, soa, options, fanout->sample_rows(),
-                              fanout->views(), fanout->groups(), exec.stats);
+  if (exec.engine == ExecEngine::kServed) {
+    return RunServed(planned, soa, &columnar, sql, seed, options, exec);
+  }
+  GUS_ASSIGN_OR_RETURN(std::unique_ptr<ItemFanoutSink> fanout,
+                       ExecuteToFanout(planned, soa, &columnar, seed, exec));
+  return EstimateFromBuilders(planned, soa, options, fanout.get(), exec.stats);
 }
 
 }  // namespace sqlish

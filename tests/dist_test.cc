@@ -501,6 +501,8 @@ TEST(DistTest, TruncatedAndCorruptShardFilesFailLoudly) {
 }
 
 TEST(DistTest, SqlishShardedBitIdenticalAcrossShardCounts) {
+  // Every shard count must reproduce the morsel engine at the same
+  // (seed, morsel_rows): shards are contiguous ranges of its unit sequence.
   TpchConfig config;
   config.num_orders = 250;
   config.num_customers = 30;
@@ -513,30 +515,33 @@ TEST(DistTest, SqlishShardedBitIdenticalAcrossShardCounts) {
         "WHERE l_orderkey = o_orderkey",
         "SELECT SUM(l_quantity) "
         "FROM l TABLESAMPLE (50 PERCENT), o "
-        "WHERE l_orderkey = o_orderkey GROUP BY o_custkey"}) {
+        "WHERE l_orderkey = o_orderkey GROUP BY o_custkey",
+        "SELECT SUM(l_discount * o_totalprice), COUNT(*) "
+        "FROM l TABLESAMPLE (40 PERCENT), o TABLESAMPLE (150 ROWS) "
+        "WHERE l_orderkey = o_orderkey"}) {
     SCOPED_TRACE(sql);
     ExecOptions exec;
-    exec.engine = ExecEngine::kSharded;
+    exec.engine = ExecEngine::kMorselParallel;
     exec.morsel_rows = 64;
-    exec.num_shards = 1;
-    ASSERT_OK_AND_ASSIGN(sqlish::ApproxResult one,
+    ASSERT_OK_AND_ASSIGN(sqlish::ApproxResult morsel,
                          sqlish::RunApproxQuery(sql, catalog, 53, {}, exec));
-    EXPECT_GT(one.values.size(), 0u);
-    for (const int num_shards : {3, 8}) {
+    EXPECT_GT(morsel.values.size(), 0u);
+    exec.engine = ExecEngine::kSharded;
+    for (const int num_shards : {1, 3, 8}) {
       SCOPED_TRACE(num_shards);
       exec.num_shards = num_shards;
       ASSERT_OK_AND_ASSIGN(
           sqlish::ApproxResult sharded,
           sqlish::RunApproxQuery(sql, catalog, 53, {}, exec));
-      ASSERT_EQ(one.values.size(), sharded.values.size());
-      EXPECT_EQ(one.sample_rows, sharded.sample_rows);
-      for (size_t i = 0; i < one.values.size(); ++i) {
-        EXPECT_EQ(one.values[i].label, sharded.values[i].label);
-        EXPECT_EQ(one.values[i].group, sharded.values[i].group);
-        EXPECT_EQ(one.values[i].value, sharded.values[i].value);
-        EXPECT_EQ(one.values[i].stddev, sharded.values[i].stddev);
-        EXPECT_EQ(one.values[i].lo, sharded.values[i].lo);
-        EXPECT_EQ(one.values[i].hi, sharded.values[i].hi);
+      ASSERT_EQ(morsel.values.size(), sharded.values.size());
+      EXPECT_EQ(morsel.sample_rows, sharded.sample_rows);
+      for (size_t i = 0; i < morsel.values.size(); ++i) {
+        EXPECT_EQ(morsel.values[i].label, sharded.values[i].label);
+        EXPECT_EQ(morsel.values[i].group, sharded.values[i].group);
+        EXPECT_EQ(morsel.values[i].value, sharded.values[i].value);
+        EXPECT_EQ(morsel.values[i].stddev, sharded.values[i].stddev);
+        EXPECT_EQ(morsel.values[i].lo, sharded.values[i].lo);
+        EXPECT_EQ(morsel.values[i].hi, sharded.values[i].hi);
       }
     }
   }

@@ -29,6 +29,7 @@
 #include "data/workload.h"
 #include "dist/coordinator.h"
 #include "dist/shard.h"
+#include "est/wire.h"
 #include "plan/columnar_executor.h"
 #include "plan/exec_stats.h"
 #include "plan/soa_transform.h"
@@ -864,6 +865,46 @@ TEST(ServeTest, SqlishServedEngineCachesBitIdenticalResults) {
     }
     EXPECT_EQ(want.sample_rows, first.sample_rows);
     EXPECT_EQ(want.sample_rows, second.sample_rows);
+  }
+
+  // A poisoned entry fails loudly on the hit path (container checksum):
+  // it never serves numbers and never falls through to execution. The key
+  // is reconstructed from its documented composition.
+  {
+    const char* sql = "SELECT COUNT(*) FROM l TABLESAMPLE (30 PERCENT)";
+    const uint64_t seed = 97531;
+    ExecOptions served;
+    served.engine = ExecEngine::kServed;
+    served.morsel_rows = 64;
+    ASSERT_OK(sqlish::RunApproxQuery(sql, fx.catalog, seed, {}, served)
+                  .status());
+    const SboxOptions options;
+    WireWriter w;
+    w.PutString(sql);
+    w.PutDouble(options.confidence_level);
+    w.PutU8(static_cast<uint8_t>(options.bound_kind));
+    w.PutU8(0);  // no sub-sampling
+    ASSERT_OK_AND_ASSIGN(sqlish::ParsedQuery parsed, sqlish::ParseQuery(sql));
+    ASSERT_OK_AND_ASSIGN(sqlish::PlannedQuery planned,
+                         sqlish::PlanQuery(parsed, fx.catalog));
+    ColumnarCatalog columnar(&fx.catalog);
+    ASSERT_OK_AND_ASSIGN(const uint64_t catalog_fingerprint,
+                         PlanCatalogFingerprint(planned.plan, &columnar));
+    ViewCacheKey key;
+    key.query_fingerprint = WireChecksum(w.buffer());
+    key.catalog_fingerprint = catalog_fingerprint;
+    key.seed = seed;
+    key.morsel_rows = ShardedExecOptions(served).morsel_rows;
+    key.scale_bits = DoubleBits(1.0);
+    ASSERT_TRUE(ProcessViewCache()->CorruptEntryForTesting(key));
+    ExecStats stats;
+    served.stats = &stats;
+    auto poisoned = sqlish::RunApproxQuery(sql, fx.catalog, seed, {}, served);
+    ASSERT_FALSE(poisoned.ok());
+    EXPECT_NE(std::string::npos,
+              poisoned.status().ToString().find("checksum"));
+    EXPECT_EQ(1, stats.cache_hits);
+    EXPECT_EQ(0, stats.cache_misses);
   }
 
   // The served engine estimates; it never materializes relations.

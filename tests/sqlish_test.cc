@@ -172,6 +172,24 @@ TEST_F(PlannerTest, UnknownTableFails) {
   EXPECT_STATUS_CODE(kKeyError, PlanQuery(parsed, catalog_).status());
 }
 
+// An unknown select-list column fails when the per-item builder binds to
+// the result layout, identically on every engine. Only the code is pinned:
+// messages carry engine-specific context.
+TEST_F(PlannerTest, UnknownSelectColumnIsAKeyErrorOnEveryEngine) {
+  const char* kSql = "SELECT SUM(nosuch) FROM l TABLESAMPLE (40 PERCENT)";
+  for (const ExecEngine engine :
+       {ExecEngine::kRowAtATime, ExecEngine::kColumnar,
+        ExecEngine::kMorselParallel, ExecEngine::kSharded,
+        ExecEngine::kServed}) {
+    SCOPED_TRACE(static_cast<int>(engine));
+    ExecOptions exec;
+    exec.engine = engine;
+    exec.num_shards = 3;
+    EXPECT_STATUS_CODE(kKeyError,
+                       RunApproxQuery(kSql, catalog_, 7, {}, exec).status());
+  }
+}
+
 TEST_F(PlannerTest, RowsExceedingCardinalityFails) {
   ASSERT_OK_AND_ASSIGN(
       ParsedQuery parsed,
@@ -318,12 +336,13 @@ TEST_F(PlannerTest, EveryFrontDoorEngineTimesTheEstimate) {
       "WHERE l_orderkey = o_orderkey";
   for (const ExecEngine engine :
        {ExecEngine::kRowAtATime, ExecEngine::kColumnar,
-        ExecEngine::kMorselParallel}) {
+        ExecEngine::kMorselParallel, ExecEngine::kSharded}) {
     SCOPED_TRACE(static_cast<int>(engine));
     ExecStats stats;
     ExecOptions exec;
     exec.engine = engine;
     exec.num_threads = 2;
+    exec.num_shards = 3;
     exec.stats = &stats;
     ASSERT_OK(RunApproxQuery(kSql, catalog_, 5, {}, exec).status());
     EXPECT_GT(stats.estimate_ms, 0.0);
