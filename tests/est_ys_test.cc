@@ -1,9 +1,13 @@
-// Tests for the y_S statistics: hand-computed values, agreement between the
-// hash and sort implementations, bilinear generalization.
+// Tests for the y_S statistics: hand-computed values, a randomized oracle
+// keyed on exact lineage tuples, agreement with the sort-based ablation,
+// bilinear generalization.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -62,6 +66,197 @@ TEST(YsTest, EmptyViewAllZero) {
   const auto all = ComputeAllYS(v);
   EXPECT_DOUBLE_EQ(0.0, all[0]);
   EXPECT_DOUBLE_EQ(0.0, all[1]);
+}
+
+/// Reference y_S^{f,g}: groups keyed on the exact projected lineage tuple,
+/// numbered in first-occurrence order, with per-group sums accumulated in
+/// row order and folded in group order. Mask ∅ is the one product
+/// (sum f)(sum g).
+double OracleYs(const SampleView& v, const std::vector<double>& g,
+                SubsetMask mask) {
+  if (mask == 0) {
+    double sf = 0.0, sg = 0.0;
+    for (int64_t i = 0; i < v.num_rows(); ++i) {
+      sf += v.f[i];
+      sg += g[i];
+    }
+    return sf * sg;
+  }
+  std::map<std::vector<uint64_t>, size_t> ids;
+  std::vector<double> sums_f, sums_g;
+  for (int64_t i = 0; i < v.num_rows(); ++i) {
+    std::vector<uint64_t> key;
+    for (int d = 0; d < v.schema.arity(); ++d) {
+      if (mask & (SubsetMask{1} << d)) key.push_back(v.lineage[d][i]);
+    }
+    const auto [it, inserted] = ids.emplace(std::move(key), sums_f.size());
+    if (inserted) {
+      sums_f.push_back(0.0);
+      sums_g.push_back(0.0);
+    }
+    sums_f[it->second] += v.f[i];
+    sums_g[it->second] += g[i];
+  }
+  double y = 0.0;
+  for (size_t k = 0; k < sums_f.size(); ++k) y += sums_f[k] * sums_g[k];
+  return y;
+}
+
+SampleView EmptyView(int arity) {
+  std::vector<std::string> dims;
+  for (int d = 0; d < arity; ++d) dims.push_back("R" + std::to_string(d));
+  SampleView v;
+  v.schema = LineageSchema::Make(dims).ValueOrDie();
+  v.lineage.assign(static_cast<size_t>(arity), {});
+  return v;
+}
+
+std::vector<double> RandomValues(int64_t rows, Rng* rng) {
+  std::vector<double> out;
+  for (int64_t i = 0; i < rows; ++i) out.push_back(rng->Uniform(-2.0, 2.0));
+  return out;
+}
+
+/// Checks ComputeAllYS, ComputeAllYSBilinear, ComputeYS and
+/// ComputeYSBilinear bitwise against the oracle on every mask with
+/// mask % stride == 0 (and the full mask).
+void ExpectMatchesOracle(const SampleView& v, Rng* rng,
+                         SubsetMask stride = 1) {
+  const std::vector<double> g = RandomValues(v.num_rows(), rng);
+  const std::vector<double> y = ComputeAllYS(v);
+  ASSERT_OK_AND_ASSIGN(std::vector<double> y_fg, ComputeAllYSBilinear(v, g));
+  ASSERT_EQ(v.schema.num_subsets(), y.size());
+  ASSERT_EQ(v.schema.num_subsets(), y_fg.size());
+  const SubsetMask full = v.schema.full_mask();
+  for (SubsetMask m = 0; m <= full; ++m) {
+    if (m % stride != 0 && m != full) continue;
+    const double want = OracleYs(v, v.f, m);
+    const double want_fg = OracleYs(v, g, m);
+    EXPECT_EQ(want, y[m]) << "mask " << m;
+    EXPECT_EQ(want_fg, y_fg[m]) << "mask " << m;
+    if (m % (stride * 7) == 0) {
+      EXPECT_EQ(want, ComputeYS(v, m)) << "mask " << m;
+      ASSERT_OK_AND_ASSIGN(double one_fg, ComputeYSBilinear(v, g, m));
+      EXPECT_EQ(want_fg, one_fg) << "mask " << m;
+    }
+  }
+}
+
+TEST(YsOracleTest, RandomViewsArityOneToFive) {
+  Rng rng(50);
+  for (int arity = 1; arity <= 5; ++arity) {
+    for (int trial = 0; trial < 4; ++trial) {
+      SCOPED_TRACE("arity " + std::to_string(arity) + " trial " +
+                   std::to_string(trial));
+      SampleView v = EmptyView(arity);
+      const int64_t rows = 1 + static_cast<int64_t>(rng.UniformInt(400));
+      for (int d = 0; d < arity; ++d) {
+        // Domains from 1 (constant column) up to ~all-distinct.
+        const uint64_t domain = uint64_t{1} << rng.UniformInt(uint64_t{10});
+        for (int64_t i = 0; i < rows; ++i) {
+          v.lineage[d].push_back(rng.UniformInt(domain) *
+                                 0x9E3779B97F4A7C15ULL);
+        }
+      }
+      v.f = RandomValues(rows, &rng);
+      ExpectMatchesOracle(v, &rng);
+    }
+  }
+}
+
+TEST(YsOracleTest, BlockSharedIds) {
+  // A sampled block shares one lineage id over a run of rows, so rows
+  // agreeing on every dimension are still distinct tuples.
+  Rng rng(51);
+  SampleView v = EmptyView(3);
+  for (int d = 0; d < 3; ++d) {
+    uint64_t id = 0;
+    for (int i = 0; i < 600; ++i) {
+      if (i == 0 || rng.UniformInt(uint64_t{6}) == 0) {
+        id = rng.UniformInt(uint64_t{40});
+      }
+      v.lineage[d].push_back(id);
+    }
+  }
+  v.f = RandomValues(600, &rng);
+  ExpectMatchesOracle(v, &rng);
+}
+
+TEST(YsOracleTest, ForeignKeyChainsInEveryDimensionOrder) {
+  // l -> o -> c: every lineitem id is distinct, each order id is a
+  // function of its lineitem, each customer id a function of its order.
+  // Plus one column that no other column determines.
+  Rng rng(52);
+  constexpr int64_t kRows = 900;
+  std::vector<uint64_t> l, o, c, x;
+  for (int64_t i = 0; i < kRows; ++i) {
+    const uint64_t order = rng.UniformInt(uint64_t{150});
+    l.push_back(static_cast<uint64_t>(i) * 31 + 7);
+    o.push_back(order + 1000);
+    c.push_back(order % 23);
+    x.push_back(rng.UniformInt(uint64_t{5}));
+  }
+  const std::vector<std::vector<std::vector<uint64_t>>> orders = {
+      {l, o, c}, {c, o, l}, {o, l, c}, {c, x, o, l}, {x, o, c}};
+  for (size_t k = 0; k < orders.size(); ++k) {
+    SCOPED_TRACE("order " + std::to_string(k));
+    SampleView v = EmptyView(static_cast<int>(orders[k].size()));
+    v.lineage = orders[k];
+    v.f = RandomValues(kRows, &rng);
+    ExpectMatchesOracle(v, &rng);
+  }
+}
+
+TEST(YsOracleTest, EmptyAndOneRowViews) {
+  Rng rng(53);
+  for (int arity = 1; arity <= 4; ++arity) {
+    SampleView empty = EmptyView(arity);
+    ExpectMatchesOracle(empty, &rng);
+    for (double f : ComputeAllYS(empty)) EXPECT_EQ(0.0, f);
+
+    SampleView one = EmptyView(arity);
+    for (int d = 0; d < arity; ++d) one.lineage[d].push_back(uint64_t(d));
+    one.f = {-1.5};
+    ExpectMatchesOracle(one, &rng);
+    for (double y : ComputeAllYS(one)) EXPECT_EQ(2.25, y);
+  }
+}
+
+TEST(YsOracleTest, ExtremeIds) {
+  // 0 and UINT64_MAX are ordinary ids, not empty-slot markers.
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  Rng rng(54);
+  const uint64_t domain[] = {0, kMax, 1, kMax - 1};
+  SampleView v = EmptyView(2);
+  for (int i = 0; i < 200; ++i) {
+    v.lineage[0].push_back(domain[rng.UniformInt(uint64_t{4})]);
+    v.lineage[1].push_back(domain[rng.UniformInt(uint64_t{2})]);
+  }
+  v.f = RandomValues(200, &rng);
+  ExpectMatchesOracle(v, &rng);
+
+  SampleView w = EmptyView(1);
+  w.lineage = {{kMax, 0, kMax, 0, kMax}};
+  w.f = {1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_EQ(9.0 * 9.0 + 6.0 * 6.0, ComputeAllYS(w)[1]);
+}
+
+TEST(YsOracleTest, ArityTwentyWithFewRows) {
+  Rng rng(55);
+  SampleView v = EmptyView(LineageSchema::kMaxLineageArity);
+  constexpr int kRows = 6;
+  for (int d = 0; d < LineageSchema::kMaxLineageArity; ++d) {
+    for (int i = 0; i < kRows; ++i) {
+      switch (d % 4) {
+        case 0: v.lineage[d].push_back(7); break;  // constant
+        case 1: v.lineage[d].push_back(static_cast<uint64_t>(i)); break;
+        case 2: v.lineage[d].push_back(static_cast<uint64_t>(i / 2)); break;
+        default: v.lineage[d].push_back(rng.UniformInt(uint64_t{3})); break;
+      }
+    }
+  }
+  v.f = RandomValues(kRows, &rng);
+  ExpectMatchesOracle(v, &rng, /*stride=*/97);
 }
 
 TEST(YsTest, SortedVariantMatchesHashed) {
