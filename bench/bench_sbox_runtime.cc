@@ -33,6 +33,7 @@
 #include "plan/parallel_executor.h"
 #include "plan/soa_transform.h"
 #include "rel/expression.h"
+#include "sqlish/planner.h"
 #include "store/segment_catalog.h"
 #include "store/segment_store.h"
 #include "util/random.h"
@@ -1126,6 +1127,106 @@ void PrintSegmentSkipping() {
   std::filesystem::remove_all(dir);
 }
 
+// ---------------------------------------------------------------------------
+// E9 — estimator Finish: the y_S lattice (est/ys.h) on the two Finish-heavy
+// SQL shapes, a 3-way foreign-key chain (lineage l -> o -> c, ~72k sample
+// rows) and a GROUP BY with ~12.6k groups of ~1.6 rows. Finish is
+// ExecStats::estimate_ms of sqlish::RunApproxQuery on the morsel engine
+// (min and median of 5 runs after a warmup). Every value, lo and hi must
+// agree bit for bit between 1 and 4 threads: the bench aborts otherwise,
+// and the CI determinism gate reads est_diff.
+
+void PrintEstimatorFinish() {
+  bench::PrintHeader(
+      "E9", "estimator Finish: 3-way FK-chain join and 12k-group GROUP BY");
+  TpchConfig config;
+  config.num_orders = 200000;
+  config.num_customers = 20000;
+  config.num_parts = 60;
+  config.max_lineitems_per_order = 7;
+  config.gen_threads = std::max(2, ThreadPool::HardwareThreads());
+  const Catalog catalog = GenerateTpch(config).MakeCatalog();
+
+  struct Text {
+    const char* name;
+    const char* sql;
+  };
+  const Text texts[] = {
+      {"fk_chain_3way",
+       "SELECT SUM(l_extendedprice) FROM l TABLESAMPLE (10 PERCENT), o, c "
+       "WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey AND "
+       "c_acctbal > 0.0"},
+      {"group_by_12k",
+       "SELECT SUM(o_totalprice) FROM o TABLESAMPLE (10 PERCENT) GROUP BY "
+       "o_custkey"},
+  };
+  constexpr int kThreads[] = {1, 4};
+  constexpr int kReps = 5;
+
+  TablePrinter table({"query", "sample rows", "values", "finish 1t (ms)",
+                      "finish 4t (ms)", "median 4t (ms)",
+                      "|est diff 1t vs 4t|"});
+  for (const Text& text : texts) {
+    sqlish::ApproxResult results[2];
+    double min_ms[2] = {0.0, 0.0};
+    double median_ms[2] = {0.0, 0.0};
+    for (int t = 0; t < 2; ++t) {
+      ExecOptions exec;
+      exec.engine = ExecEngine::kMorselParallel;
+      exec.num_threads = kThreads[t];
+      exec.morsel_rows = 8192;
+      std::vector<double> finish;
+      for (int rep = 0; rep <= kReps; ++rep) {  // rep 0 warms up
+        ExecStats stats;
+        exec.stats = &stats;
+        results[t] = ValueOrAbort(sqlish::RunApproxQuery(
+            text.sql, catalog, 2024, SboxOptions{}, exec));
+        if (rep > 0) finish.push_back(stats.estimate_ms);
+      }
+      std::sort(finish.begin(), finish.end());
+      min_ms[t] = finish.front();
+      median_ms[t] = finish[finish.size() / 2];
+    }
+    const std::vector<sqlish::ApproxValue>& one = results[0].values;
+    const std::vector<sqlish::ApproxValue>& four = results[1].values;
+    double est_diff = one.size() == four.size() ? 0.0 : 1.0;
+    for (size_t i = 0; i < one.size() && i < four.size(); ++i) {
+      if (one[i].label != four[i].label || one[i].group != four[i].group) {
+        est_diff = std::max(est_diff, 1.0);
+      }
+      est_diff = std::max({est_diff, std::abs(one[i].value - four[i].value),
+                           std::abs(one[i].lo - four[i].lo),
+                           std::abs(one[i].hi - four[i].hi)});
+    }
+    if (est_diff != 0.0) {
+      std::fprintf(stderr,
+                   "[bench] FATAL: %s answers differ between 1 and 4 "
+                   "threads (|diff| = %.17g)\n",
+                   text.name, est_diff);
+      std::abort();
+    }
+    table.AddRow({text.name, std::to_string(results[1].sample_rows),
+                  std::to_string(four.size()), TablePrinter::Num(min_ms[0], 3),
+                  TablePrinter::Num(min_ms[1], 3),
+                  TablePrinter::Num(median_ms[1], 3),
+                  TablePrinter::Num(est_diff, 6)});
+    bench::JsonReporter::Global().Add(
+        "E9", text.name,
+        {{"sample_rows", static_cast<double>(results[1].sample_rows)},
+         {"values", static_cast<double>(four.size())},
+         {"finish_ms_1t", min_ms[0]},
+         {"finish_ms_4t", min_ms[1]},
+         {"finish_median_ms_4t", median_ms[1]},
+         {"est_diff", est_diff}});
+  }
+  std::printf("%s", table.ToString().c_str());
+  std::printf(
+      "\nFinish = ExecStats::estimate_ms (SBox/grouped Finish plus result\n"
+      "assembly). |est diff| = 0 over every value/lo/hi is asserted (the\n"
+      "bench aborts otherwise): Finish reads the merged sink state, which\n"
+      "is thread-count invariant.\n");
+}
+
 void PrintSboxRuntimeAll() {
   PrintSboxRuntime();
   PrintEngineComparison();
@@ -1136,6 +1237,7 @@ void PrintSboxRuntimeAll() {
   PrintHotPathKernels();
   PrintSimdKernelTiers();
   PrintSegmentSkipping();
+  PrintEstimatorFinish();
 }
 
 namespace {

@@ -14,11 +14,21 @@ std::string ConfidenceInterval::ToString() const {
   return out.str();
 }
 
-Result<ConfidenceInterval> MakeInterval(double estimate, double variance,
-                                        double level, BoundKind kind) {
+Result<IntervalMaker> IntervalMaker::Make(double level, BoundKind kind) {
   if (!(level > 0.0 && level < 1.0)) {
     return Status::InvalidArgument("confidence level must be in (0,1)");
   }
+  IntervalMaker maker;
+  maker.level_ = level;
+  maker.kind_ = kind;
+  maker.multiplier_ = kind == BoundKind::kNormal
+                          ? NormalQuantile(0.5 + level / 2.0)
+                          : ChebyshevMultiplier(level);
+  return maker;
+}
+
+Result<ConfidenceInterval> IntervalMaker::Interval(double estimate,
+                                                   double variance) const {
   if (variance < 0.0) {
     // Sample-estimated variances can go slightly negative; clamp tiny
     // negatives, reject clearly invalid input.
@@ -28,15 +38,18 @@ Result<ConfidenceInterval> MakeInterval(double estimate, double variance,
     variance = 0.0;
   }
   const double sigma = std::sqrt(variance);
-  const double k = kind == BoundKind::kNormal
-                       ? NormalQuantile(0.5 + level / 2.0)
-                       : ChebyshevMultiplier(level);
   ConfidenceInterval ci;
-  ci.lo = estimate - k * sigma;
-  ci.hi = estimate + k * sigma;
-  ci.level = level;
-  ci.kind = kind;
+  ci.lo = estimate - multiplier_ * sigma;
+  ci.hi = estimate + multiplier_ * sigma;
+  ci.level = level_;
+  ci.kind = kind_;
   return ci;
+}
+
+Result<ConfidenceInterval> MakeInterval(double estimate, double variance,
+                                        double level, BoundKind kind) {
+  GUS_ASSIGN_OR_RETURN(IntervalMaker maker, IntervalMaker::Make(level, kind));
+  return maker.Interval(estimate, variance);
 }
 
 Result<double> EstimateQuantile(double estimate, double variance, double q,

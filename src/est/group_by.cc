@@ -1,8 +1,10 @@
 #include "est/group_by.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "est/unbiased.h"
 #include "est/variance.h"
@@ -16,36 +18,167 @@ namespace gus {
 
 namespace {
 
-/// One group's full Theorem-1 treatment; shared by the relation-based and
-/// streaming paths so their numbers agree bit for bit.
-Result<GroupEstimate> EstimateGroup(const GusParams& gus, const Value& key,
-                                    const SampleView& gview,
-                                    double confidence_level, BoundKind kind) {
-  GroupEstimate ge;
-  ge.key = key;
-  ge.sample_rows = gview.num_rows();
-  GUS_ASSIGN_OR_RETURN(ge.estimate, PointEstimate(gus, gview));
-  const std::vector<double> Y = ComputeAllYS(gview);
-  GUS_ASSIGN_OR_RETURN(std::vector<double> y_hat, UnbiasedYEstimates(gus, Y));
-  GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus, y_hat));
-  ge.variance = std::max(0.0, var);
-  ge.stddev = std::sqrt(ge.variance);
-  GUS_ASSIGN_OR_RETURN(
-      ge.interval,
-      MakeInterval(ge.estimate, ge.variance, confidence_level, kind));
-  return ge;
+/// \brief Every group's full Theorem-1 treatment, shared by the
+/// relation-based and streaming paths so their numbers agree bit for bit.
+///
+/// `flat` holds the groups' rows one after another: group k (key keys[k])
+/// is rows [begin[k], begin[k+1]); estimates come out in that order. One
+/// lattice walk, with the group as a dimension present in every partition,
+/// yields every group's y_S exactly as a walk over that group's rows alone
+/// would; the Theorem-1 constants are computed once for all groups.
+Result<std::vector<GroupEstimate>> EstimateGroups(
+    const GusParams& gus, const std::vector<const Value*>& keys,
+    const SampleView& flat, const std::vector<int64_t>& begin,
+    double confidence_level, BoundKind kind) {
+  std::vector<GroupEstimate> out;
+  if (keys.empty()) return out;
+  if (gus.a() <= 0.0) return Status::InvalidArgument("estimator needs a > 0");
+  const std::vector<double> Y = std::move(ComputeYsLattice(
+      flat.lineage, {flat.f.data()}, flat.num_rows(), {{0, 0}}, begin)[0]);
+  // The Theorem-1 constants, and every check the per-group chain would
+  // make (each independent of the group), once.
+  const UnbiasingPlan unbias(gus);
+  GUS_RETURN_NOT_OK(unbias.status());
+  const VarianceWeights weights(gus);
+  GUS_RETURN_NOT_OK(weights.status());
+  GUS_ASSIGN_OR_RETURN(const IntervalMaker intervals,
+                       IntervalMaker::Make(confidence_level, kind));
+  const size_t subsets = gus.schema().num_subsets();
+  std::vector<double> y_hat(subsets);
+  out.reserve(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    GroupEstimate ge;
+    ge.key = *keys[k];
+    ge.sample_rows = begin[k + 1] - begin[k];
+    double sum = 0.0;
+    for (int64_t i = begin[k]; i < begin[k + 1]; ++i) sum += flat.f[i];
+    ge.estimate = sum / gus.a();
+    unbias.Apply(Y.data() + k * subsets, y_hat.data());
+    ge.variance = std::max(0.0, weights.Variance(y_hat.data()));
+    ge.stddev = std::sqrt(ge.variance);
+    GUS_ASSIGN_OR_RETURN(ge.interval,
+                         intervals.Interval(ge.estimate, ge.variance));
+    out.push_back(std::move(ge));
+  }
+  return out;
 }
 
-/// Deterministic output order: by key (numeric-aware enough for tests and
-/// display).
-void SortByKey(std::vector<GroupEstimate>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const GroupEstimate& a, const GroupEstimate& b) {
-              if (a.key.is_numeric() && b.key.is_numeric()) {
-                return a.key.ToDouble() < b.key.ToDouble();
-              }
-              return a.key.ToString() < b.key.ToString();
-            });
+/// \brief Deterministic output order: by key (numeric-aware enough for
+/// tests and display). Returns indexes into `keys` in output order.
+///
+/// Callers lay their groups out in this order, so estimates come out
+/// sorted without being moved. The order (ties included) is the one
+/// std::sort gives the keys in the order passed: numeric keys that are
+/// pairwise distinct as doubles — the usual case — have exactly one sorted
+/// order, which an LSD radix sort on order-preserving bit patterns finds in
+/// linear time; string keys, NaN, or two keys equal as doubles go through
+/// std::sort, whose comparisons alone decide the ties.
+std::vector<size_t> KeyOrder(const std::vector<const Value*>& keys) {
+  const size_t n = keys.size();
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  bool radix = true;
+  std::vector<uint64_t> bits(n);
+  for (size_t i = 0; i < n && radix; ++i) {
+    radix = keys[i]->is_numeric() && !std::isnan(keys[i]->ToDouble());
+    if (radix) {
+      // Flip so unsigned order is double order (negatives reversed).
+      const uint64_t b = std::bit_cast<uint64_t>(keys[i]->ToDouble());
+      bits[i] = (b >> 63) != 0 ? ~b : b | (uint64_t{1} << 63);
+    }
+  }
+  if (radix && n > 0) {
+    constexpr int kDigitBits = 11;
+    constexpr size_t kBuckets = size_t{1} << kDigitBits;
+    std::vector<size_t> scratch(n);
+    std::vector<size_t> count(kBuckets);
+    for (int shift = 0; shift < 64; shift += kDigitBits) {
+      std::fill(count.begin(), count.end(), 0);
+      for (size_t i : order) ++count[(bits[i] >> shift) & (kBuckets - 1)];
+      if (count[(bits[order[0]] >> shift) & (kBuckets - 1)] == n) continue;
+      size_t sum = 0;
+      for (size_t& c : count) sum += std::exchange(c, sum);
+      for (size_t i : order) {
+        scratch[count[(bits[i] >> shift) & (kBuckets - 1)]++] = i;
+      }
+      order.swap(scratch);
+    }
+    for (size_t k = 1; k < n && radix; ++k) {
+      radix = keys[order[k - 1]]->ToDouble() != keys[order[k]]->ToDouble();
+    }
+    if (radix) return order;
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+  }
+  std::sort(order.begin(), order.end(), [&keys](size_t a, size_t b) {
+    const Value& ka = *keys[a];
+    const Value& kb = *keys[b];
+    if (ka.is_numeric() && kb.is_numeric()) {
+      return ka.ToDouble() < kb.ToDouble();
+    }
+    return ka.ToString() < kb.ToString();
+  });
+  return order;
+}
+
+/// \brief Each group's rows, groups in `order`: rows_of[begin[k] ..
+/// begin[k+1]) are the rows of group order[k] (row_group[i] is row i's
+/// group), in row order. A stable counting sort.
+void RowsByGroup(const std::vector<uint32_t>& row_group, size_t num_groups,
+                 const std::vector<uint32_t>& order,
+                 std::vector<int64_t>* begin, std::vector<int64_t>* rows_of) {
+  std::vector<int64_t> size(num_groups, 0);
+  for (uint32_t g : row_group) ++size[g];
+  std::vector<int64_t> next(num_groups);
+  begin->assign(1, 0);
+  begin->reserve(order.size() + 1);
+  for (uint32_t g : order) {
+    next[g] = begin->back();
+    begin->push_back(begin->back() + size[g]);
+  }
+  rows_of->resize(row_group.size());
+  for (size_t i = 0; i < row_group.size(); ++i) {
+    (*rows_of)[static_cast<size_t>(next[row_group[i]]++)] =
+        static_cast<int64_t>(i);
+  }
+}
+
+/// \brief Every group's estimate from rows stored flat: row i belongs to
+/// group row_group[i] (key keys[g]) with value f[i] and lineage[d][i].
+///
+/// `index_order` lists the group numbers in their key index's iteration
+/// order, the order ties between keys are broken in. The groups' rows are
+/// laid out one after another in output (key) order for EstimateGroups.
+Result<std::vector<GroupEstimate>> EstimateFlatGroups(
+    const GusParams& gus, const std::vector<Value>& keys,
+    const std::vector<uint32_t>& index_order,
+    const std::vector<uint32_t>& row_group, const std::vector<double>& f,
+    const std::vector<std::vector<uint64_t>>& lineage,
+    double confidence_level, BoundKind kind) {
+  std::vector<const Value*> index_keys;
+  index_keys.reserve(index_order.size());
+  for (uint32_t g : index_order) index_keys.push_back(&keys[g]);
+  std::vector<uint32_t> order;
+  std::vector<const Value*> sorted_keys;
+  order.reserve(index_order.size());
+  sorted_keys.reserve(index_order.size());
+  for (size_t k : KeyOrder(index_keys)) {
+    order.push_back(index_order[k]);
+    sorted_keys.push_back(index_keys[k]);
+  }
+  std::vector<int64_t> begin, rows_of;
+  RowsByGroup(row_group, keys.size(), order, &begin, &rows_of);
+  SampleView flat;
+  flat.schema = gus.schema();
+  flat.f.resize(rows_of.size());
+  for (size_t i = 0; i < rows_of.size(); ++i) flat.f[i] = f[rows_of[i]];
+  flat.lineage.resize(lineage.size());
+  for (size_t d = 0; d < lineage.size(); ++d) {
+    flat.lineage[d].resize(rows_of.size());
+    for (size_t i = 0; i < rows_of.size(); ++i) {
+      flat.lineage[d][i] = lineage[d][rows_of[i]];
+    }
+  }
+  return EstimateGroups(gus, sorted_keys, flat, begin, confidence_level, kind);
 }
 
 }  // namespace
@@ -57,48 +190,34 @@ Result<std::vector<GroupEstimate>> GroupedSumEstimate(
                        SampleView::FromRelation(rel, f_expr, gus.schema()));
   GUS_ASSIGN_OR_RETURN(int key_idx, rel.schema().IndexOf(key_column));
 
-  // Partition row indexes by key hash (exact keys kept for output). Hash
+  // Number the groups by key hash (exact keys kept for output). Hash
   // partitioning follows KeyEquals semantics: numerically equal keys of
   // mixed int64/float64 type hash together and deliberately form one group
   // (consistent with how joins match keys); a typed key column never mixes
   // types unless the input was malformed to begin with.
-  std::unordered_map<uint64_t, std::vector<int64_t>> groups;
-  std::unordered_map<uint64_t, Value> keys;
+  std::unordered_map<uint64_t, uint32_t> index;
+  std::vector<Value> keys;
+  std::vector<uint32_t> row_group;
+  row_group.reserve(static_cast<size_t>(rel.num_rows()));
   for (int64_t i = 0; i < rel.num_rows(); ++i) {
     const Value& key = rel.row(i)[key_idx];
-    const uint64_t h = key.Hash();
-    groups[h].push_back(i);
-    auto [it, inserted] = keys.emplace(h, key);
-    if (!inserted && !it->second.KeyEquals(key)) {
+    const auto [it, inserted] =
+        index.try_emplace(key.Hash(), static_cast<uint32_t>(keys.size()));
+    if (inserted) {
+      keys.push_back(key);
+    } else if (!keys[it->second].KeyEquals(key)) {
       // Refuse to silently fuse distinct keys on a 64-bit hash collision.
       return Status::Internal("group-by key hash collision between '" +
-                              it->second.ToString() + "' and '" +
+                              keys[it->second].ToString() + "' and '" +
                               key.ToString() + "'");
     }
+    row_group.push_back(it->second);
   }
-
-  std::vector<GroupEstimate> out;
-  out.reserve(groups.size());
-  for (const auto& [h, rows] : groups) {
-    // Group view: f restricted to the group's rows. Rows outside the group
-    // contribute f = 0, and zero rows do not change any y statistic, so the
-    // restricted view is sufficient.
-    SampleView gview;
-    gview.schema = view.schema;
-    gview.lineage.assign(view.lineage.size(), {});
-    for (int64_t i : rows) {
-      gview.f.push_back(view.f[i]);
-      for (size_t d = 0; d < view.lineage.size(); ++d) {
-        gview.lineage[d].push_back(view.lineage[d][i]);
-      }
-    }
-    GUS_ASSIGN_OR_RETURN(
-        GroupEstimate ge,
-        EstimateGroup(gus, keys.at(h), gview, confidence_level, kind));
-    out.push_back(std::move(ge));
-  }
-  SortByKey(&out);
-  return out;
+  std::vector<uint32_t> index_order;
+  index_order.reserve(keys.size());
+  for (const auto& entry : index) index_order.push_back(entry.second);
+  return EstimateFlatGroups(gus, keys, index_order, row_group, view.f,
+                            view.lineage, confidence_level, kind);
 }
 
 Result<GroupedSumBuilder> GroupedSumBuilder::Make(const BatchLayout& layout,
@@ -111,6 +230,7 @@ Result<GroupedSumBuilder> GroupedSumBuilder::Make(const BatchLayout& layout,
   GUS_ASSIGN_OR_RETURN(builder.bound_, f_expr->Bind(layout.schema));
   GUS_ASSIGN_OR_RETURN(builder.key_idx_, layout.schema.IndexOf(key_column));
   builder.schema_ = schema;
+  builder.lineage_.assign(static_cast<size_t>(schema.arity()), {});
   ExprColumnFootprint(builder.bound_, layout.schema.num_columns(),
                       &builder.footprint_);
   return builder;
@@ -175,37 +295,31 @@ Status GroupedSumBuilder::AccumulateRows(const ColumnBatch& data,
   // insert) — but each row is still key-checked below, exactly as the
   // per-row path did.
   uint64_t last_hash = 0;
-  Group* group = nullptr;
+  uint32_t group = 0;
+  bool have_group = false;
   for (int64_t k = 0; k < len; ++k) {
     const int64_t row = rows[k];
     const uint64_t h = hash_scratch_[k];
-    if (group == nullptr || h != last_hash) {
-      auto [it, inserted] = groups_.try_emplace(h);
-      group = &it->second;
+    bool is_new = false;
+    if (!have_group || h != last_hash) {
+      const auto [it, inserted] =
+          index_.try_emplace(h, static_cast<uint32_t>(keys_.size()));
+      if (inserted) keys_.push_back(key_col.ValueAt(row));
+      group = it->second;
       last_hash = h;
-      if (inserted) {
-        group->key = key_col.ValueAt(row);
-        group->view.schema = schema_;
-        group->view.lineage.assign(n, {});
-        group->view.f.push_back(f_scratch_[k]);
-        const uint64_t* lrow = lineage + static_cast<size_t>(row) * arity;
-        for (int d = 0; d < n; ++d) {
-          group->view.lineage[d].push_back(lrow[source_[d]]);
-        }
-        continue;
-      }
+      have_group = true;
+      is_new = inserted;
     }
-    if (!GroupKeyEqualsAt(group->key, key_col, row)) {
+    if (!is_new && !GroupKeyEqualsAt(keys_[group], key_col, row)) {
       // Refuse to silently fuse distinct keys on a 64-bit hash collision.
       return Status::Internal("group-by key hash collision between '" +
-                              group->key.ToString() + "' and '" +
+                              keys_[group].ToString() + "' and '" +
                               key_col.ValueAt(row).ToString() + "'");
     }
-    group->view.f.push_back(f_scratch_[k]);
+    row_group_.push_back(group);
+    f_.push_back(f_scratch_[k]);
     const uint64_t* lrow = lineage + static_cast<size_t>(row) * arity;
-    for (int d = 0; d < n; ++d) {
-      group->view.lineage[d].push_back(lrow[source_[d]]);
-    }
+    for (int d = 0; d < n; ++d) lineage_[d].push_back(lrow[source_[d]]);
   }
   return Status::OK();
 }
@@ -266,17 +380,27 @@ Status GroupedSumBuilder::Merge(GroupedSumBuilder&& other) {
     return Status::InvalidArgument(
         "cannot merge GroupedSumBuilders over different layouts");
   }
-  for (auto& [h, group] : other.groups_) {
-    auto it = groups_.find(h);
-    if (it == groups_.end()) {
-      groups_.emplace(h, std::move(group));
-    } else if (!it->second.key.KeyEquals(group.key)) {
+  // Other's groups join in other's index order; each of its rows then
+  // follows this builder's rows, so every group's rows concatenate in
+  // partition order.
+  std::vector<uint32_t> remap(other.keys_.size());
+  for (const auto& [h, g] : other.index_) {
+    const auto [it, inserted] =
+        index_.try_emplace(h, static_cast<uint32_t>(keys_.size()));
+    if (inserted) {
+      keys_.push_back(std::move(other.keys_[g]));
+    } else if (!keys_[it->second].KeyEquals(other.keys_[g])) {
       return Status::Internal("group-by key hash collision between '" +
-                              it->second.key.ToString() + "' and '" +
-                              group.key.ToString() + "'");
-    } else {
-      GUS_RETURN_NOT_OK(it->second.view.Merge(std::move(group.view)));
+                              keys_[it->second].ToString() + "' and '" +
+                              other.keys_[g].ToString() + "'");
     }
+    remap[g] = it->second;
+  }
+  for (uint32_t g : other.row_group_) row_group_.push_back(remap[g]);
+  f_.insert(f_.end(), other.f_.begin(), other.f_.end());
+  for (size_t d = 0; d < lineage_.size(); ++d) {
+    lineage_[d].insert(lineage_[d].end(), other.lineage_[d].begin(),
+                       other.lineage_[d].end());
   }
   return Status::OK();
 }
@@ -316,13 +440,13 @@ std::string GroupedSumBuilder::SerializeState() const {
   EncodeSourceMap(source_, &w);
   w.PutI32(key_idx_);
 
-  std::vector<const Group*> ordered;
-  ordered.reserve(groups_.size());
-  for (const auto& entry : groups_) ordered.push_back(&entry.second);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Group* a, const Group* b) {
-              return CanonicalKeyLess(a->key, b->key);
-            });
+  std::vector<uint32_t> ordered(keys_.size());
+  for (uint32_t g = 0; g < ordered.size(); ++g) ordered[g] = g;
+  std::sort(ordered.begin(), ordered.end(), [this](uint32_t a, uint32_t b) {
+    return CanonicalKeyLess(keys_[a], keys_[b]);
+  });
+  std::vector<int64_t> begin, rows_of;
+  RowsByGroup(row_group_, keys_.size(), ordered, &begin, &rows_of);
 
   // String keys are dictionary-coded: distinct strings once, in
   // first-use (canonical) order; groups then reference codes. Codes are
@@ -331,9 +455,9 @@ std::string GroupedSumBuilder::SerializeState() const {
   // correctly by content.
   std::unordered_map<std::string, uint32_t> dict_codes;
   std::vector<const std::string*> dict;
-  for (const Group* group : ordered) {
-    if (group->key.type() != ValueType::kString) continue;
-    const std::string& s = group->key.AsString();
+  for (uint32_t g : ordered) {
+    if (keys_[g].type() != ValueType::kString) continue;
+    const std::string& s = keys_[g].AsString();
     if (dict_codes.emplace(s, static_cast<uint32_t>(dict.size())).second) {
       dict.push_back(&s);
     }
@@ -342,30 +466,31 @@ std::string GroupedSumBuilder::SerializeState() const {
   for (const std::string* s : dict) w.PutString(*s);
 
   w.PutU64(ordered.size());
-  for (const Group* group : ordered) {
-    switch (group->key.type()) {
+  for (size_t k = 0; k < ordered.size(); ++k) {
+    const Value& key = keys_[ordered[k]];
+    switch (key.type()) {
       case ValueType::kInt64:
         w.PutU8(kKeyInt64);
-        w.PutI64(group->key.AsInt64());
+        w.PutI64(key.AsInt64());
         break;
       case ValueType::kFloat64:
         w.PutU8(kKeyFloat64);
-        w.PutDouble(group->key.AsFloat64());
+        w.PutDouble(key.AsFloat64());
         break;
       case ValueType::kString:
         w.PutU8(kKeyString);
-        w.PutU32(dict_codes.at(group->key.AsString()));
+        w.PutU32(dict_codes.at(key.AsString()));
         break;
     }
-    // Per-group views share the builder's analysis schema, so only the
-    // row data travels (no per-group schema repeat).
-    const SampleView& view = group->view;
-    const int64_t rows = view.num_rows();
-    w.PutU64(static_cast<uint64_t>(rows));
+    // Groups share the builder's analysis schema, so only the row data
+    // travels (no per-group schema repeat).
+    const int64_t* rows = rows_of.data() + begin[k];
+    const int64_t count = begin[k + 1] - begin[k];
+    w.PutU64(static_cast<uint64_t>(count));
     for (int d = 0; d < schema_.arity(); ++d) {
-      for (int64_t i = 0; i < rows; ++i) w.PutU64(view.lineage[d][i]);
+      for (int64_t i = 0; i < count; ++i) w.PutU64(lineage_[d][rows[i]]);
     }
-    for (int64_t i = 0; i < rows; ++i) w.PutDouble(view.f[i]);
+    for (int64_t i = 0; i < count; ++i) w.PutDouble(f_[rows[i]]);
   }
   return w.Take();
 }
@@ -382,6 +507,7 @@ Result<GroupedSumBuilder> GroupedSumBuilder::DeserializeState(
   std::vector<std::string> rels(arity);
   for (auto& rel : rels) GUS_RETURN_NOT_OK(r.ReadString(&rel));
   GUS_ASSIGN_OR_RETURN(builder.schema_, LineageSchema::Make(std::move(rels)));
+  builder.lineage_.assign(arity, {});
   GUS_RETURN_NOT_OK(DecodeSourceMap(&r, &builder.source_));
   if (builder.source_.size() != arity) {
     return Status::InvalidArgument(
@@ -435,30 +561,31 @@ Result<GroupedSumBuilder> GroupedSumBuilder::DeserializeState(
         return Status::InvalidArgument(
             "wire GroupedSumBuilder has an unknown key type tag");
     }
-    auto [it, inserted] = builder.groups_.try_emplace(key.Hash());
-    if (!inserted) {
+    const uint32_t group = static_cast<uint32_t>(builder.keys_.size());
+    if (!builder.index_.try_emplace(key.Hash(), group).second) {
       return Status::InvalidArgument(
           "wire GroupedSumBuilder repeats a group key");
     }
-    Group& group = it->second;
-    group.key = key;
-    group.view.schema = builder.schema_;
+    builder.keys_.push_back(std::move(key));
     uint64_t rows = 0;
     GUS_RETURN_NOT_OK(r.ReadU64(&rows));
     if (rows > r.remaining() / 8) {
       return Status::InvalidArgument(
           "truncated wire GroupedSumBuilder group rows");
     }
-    group.view.lineage.assign(arity, {});
+    builder.row_group_.insert(builder.row_group_.end(), rows, group);
     for (uint32_t d = 0; d < arity; ++d) {
-      group.view.lineage[d].resize(rows);
+      std::vector<uint64_t>& column = builder.lineage_[d];
+      const size_t base = column.size();
+      column.resize(base + rows);
       for (uint64_t i = 0; i < rows; ++i) {
-        GUS_RETURN_NOT_OK(r.ReadU64(&group.view.lineage[d][i]));
+        GUS_RETURN_NOT_OK(r.ReadU64(&column[base + i]));
       }
     }
-    group.view.f.resize(rows);
+    const size_t base = builder.f_.size();
+    builder.f_.resize(base + rows);
     for (uint64_t i = 0; i < rows; ++i) {
-      GUS_RETURN_NOT_OK(r.ReadDouble(&group.view.f[i]));
+      GUS_RETURN_NOT_OK(r.ReadDouble(&builder.f_[base + i]));
     }
   }
   GUS_RETURN_NOT_OK(r.ExpectEnd());
@@ -471,17 +598,11 @@ Result<std::vector<GroupEstimate>> GroupedSumBuilder::Finish(
     return Status::InvalidArgument(
         "GusParams schema does not match the builder's analysis schema");
   }
-  std::vector<GroupEstimate> out;
-  out.reserve(groups_.size());
-  for (const auto& entry : groups_) {
-    const Group& group = entry.second;
-    GUS_ASSIGN_OR_RETURN(
-        GroupEstimate ge,
-        EstimateGroup(gus, group.key, group.view, confidence_level, kind));
-    out.push_back(std::move(ge));
-  }
-  SortByKey(&out);
-  return out;
+  std::vector<uint32_t> index_order;
+  index_order.reserve(keys_.size());
+  for (const auto& entry : index_) index_order.push_back(entry.second);
+  return EstimateFlatGroups(gus, keys_, index_order, row_group_, f_, lineage_,
+                            confidence_level, kind);
 }
 
 }  // namespace gus

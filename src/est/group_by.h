@@ -47,14 +47,15 @@ Result<std::vector<GroupEstimate>> GroupedSumEstimate(
     const std::string& key_column, double confidence_level = 0.95,
     BoundKind kind = BoundKind::kNormal);
 
-/// \brief Batch-incremental grouped-SUM state: a hash table of per-group
-/// SampleViews fed from column batches, mergeable across partitions.
+/// \brief Batch-incremental grouped-SUM state: every row's (group, f,
+/// lineage) in arrival order plus a hash index of the group keys, fed from
+/// column batches and mergeable across partitions.
 ///
 /// Consuming a batch stream and calling Finish is bit-identical to
 /// GroupedSumEstimate over the materialized relation; merging split
 /// builders in partition order is bit-identical to the unsplit builder
-/// (per-group rows concatenate in partition order; group discovery order
-/// never affects the estimates, and Finish sorts the output by key).
+/// (each group's rows concatenate in partition order; group discovery
+/// order never affects the estimates, and Finish sorts the output by key).
 class GroupedSumBuilder final : public BatchSink {
  public:
   static Result<GroupedSumBuilder> Make(const BatchLayout& layout,
@@ -100,15 +101,10 @@ class GroupedSumBuilder final : public BatchSink {
       const GusParams& gus, double confidence_level = 0.95,
       BoundKind kind = BoundKind::kNormal) const;
 
-  int64_t num_groups() const { return static_cast<int64_t>(groups_.size()); }
+  int64_t num_groups() const { return static_cast<int64_t>(keys_.size()); }
 
  private:
   GroupedSumBuilder() = default;
-
-  struct Group {
-    Value key;
-    SampleView view;
-  };
 
   /// Shared accumulation core: f_scratch_ holds the f value of each listed
   /// row; keys and lineage are read from `data` at rows[k] directly.
@@ -126,7 +122,15 @@ class GroupedSumBuilder final : public BatchSink {
   ColumnBatch eval_scratch_;
   DictPtr key_dict_;  // cached dictionary hashes for string keys
   std::vector<uint64_t> key_dict_hashes_;
-  std::unordered_map<uint64_t, Group> groups_;  // keyed by Value::Hash
+  /// Group keys by group number (discovery order).
+  std::vector<Value> keys_;
+  /// Value::Hash of a key -> its group number; a 64-bit hash collision
+  /// between distinct keys is refused, never merged.
+  std::unordered_map<uint64_t, uint32_t> index_;
+  /// The rows in arrival order: group number, f, lineage by analysis dim.
+  std::vector<uint32_t> row_group_;
+  std::vector<double> f_;
+  std::vector<std::vector<uint64_t>> lineage_;
 };
 
 }  // namespace gus

@@ -38,28 +38,20 @@ Result<RatioReport> RatioEstimate(const GusParams& gus, const SampleView& view,
   }
   report.estimate = report.numerator / report.denominator;
 
-  // A view over g reusing the same lineage columns.
-  SampleView g_view;
-  g_view.schema = view.schema;
-  g_view.lineage = view.lineage;
-  g_view.f = g;
-
-  // Unbiased estimates of the three quadratic-form tables.
-  const std::vector<double> y_ff = ComputeAllYS(view);
-  GUS_ASSIGN_OR_RETURN(std::vector<double> y_fg,
-                       ComputeAllYSBilinear(view, g));
-  const std::vector<double> y_gg = ComputeAllYS(g_view);
-  GUS_ASSIGN_OR_RETURN(std::vector<double> yh_ff,
-                       UnbiasedYEstimates(gus, y_ff));
-  GUS_ASSIGN_OR_RETURN(std::vector<double> yh_fg,
-                       UnbiasedYEstimates(gus, y_fg));
-  GUS_ASSIGN_OR_RETURN(std::vector<double> yh_gg,
-                       UnbiasedYEstimates(gus, y_gg));
-  GUS_ASSIGN_OR_RETURN(report.numerator_variance,
-                       VarianceFromY(gus, yh_ff));
-  GUS_ASSIGN_OR_RETURN(report.covariance, CovarianceFromY(gus, yh_fg));
-  GUS_ASSIGN_OR_RETURN(report.denominator_variance,
-                       VarianceFromY(gus, yh_gg));
+  // Unbiased estimates of the three quadratic-form tables, folded over one
+  // set of lineage partitions.
+  const std::vector<std::vector<double>> y = ComputeYsLattice(
+      view.lineage, {view.f.data(), g.data()}, view.num_rows(),
+      {{0, 0}, {0, 1}, {1, 1}});
+  const UnbiasingPlan unbias(gus);
+  GUS_RETURN_NOT_OK(unbias.status());
+  std::vector<std::vector<double>> y_hat(3, std::vector<double>(y[0].size()));
+  for (size_t t = 0; t < 3; ++t) unbias.Apply(y[t].data(), y_hat[t].data());
+  const VarianceWeights weights(gus);
+  GUS_RETURN_NOT_OK(weights.status());
+  report.numerator_variance = weights.Variance(y_hat[0].data());
+  report.covariance = weights.Variance(y_hat[1].data());
+  report.denominator_variance = weights.Variance(y_hat[2].data());
 
   // Delta method around (µ_f, µ_g) evaluated at the estimates.
   const double r = report.estimate;
@@ -87,15 +79,15 @@ Result<CountReport> CountEstimate(const GusParams& gus,
   if (view.schema != gus.schema()) {
     return Status::InvalidArgument("sample view / GUS schema mismatch");
   }
-  // COUNT is SUM with f == 1 (the paper's reduction).
-  SampleView ones_view;
-  ones_view.schema = view.schema;
-  ones_view.lineage = view.lineage;
-  ones_view.f.assign(static_cast<size_t>(view.num_rows()), 1.0);
+  if (gus.a() <= 0.0) return Status::InvalidArgument("estimator needs a > 0");
+  // COUNT is SUM with f == 1 (the paper's reduction), over the view's own
+  // lineage columns.
+  const std::vector<double> ones(static_cast<size_t>(view.num_rows()), 1.0);
 
   CountReport report;
-  GUS_ASSIGN_OR_RETURN(report.estimate, PointEstimate(gus, ones_view));
-  const std::vector<double> Y = ComputeAllYS(ones_view);
+  report.estimate = static_cast<double>(view.num_rows()) / gus.a();
+  const std::vector<double> Y = std::move(ComputeYsLattice(
+      view.lineage, {ones.data()}, view.num_rows(), {{0, 0}})[0]);
   GUS_ASSIGN_OR_RETURN(std::vector<double> y_hat,
                        UnbiasedYEstimates(gus, Y));
   GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus, y_hat));

@@ -9,9 +9,11 @@
 //   E[R]   ≈ µ_f/µ_g  (first order)
 //   Var[R] ≈ (σ_f² − 2 R σ_fg + R² σ_g²) / µ_g²
 //
-// The variance and covariance come from the bilinear Theorem 1
-// (CovarianceFromY with the bilinear y-statistics), with every moment
-// estimated unbiasedly from the sample by the Section 6.3 recursion.
+// The variance and covariance come from the bilinear Theorem 1 — the
+// covariance Cov = sum_S (c_S/a^2) y^{fg}_S − y^{fg}_∅ has the variance's
+// coefficients over the bilinear y-statistics (VarianceWeights) — with
+// every moment estimated unbiasedly from the sample by the Section 6.3
+// recursion.
 
 #ifndef GUS_EST_RATIO_H_
 #define GUS_EST_RATIO_H_

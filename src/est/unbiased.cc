@@ -17,12 +17,8 @@ double UnbiasingCoefficient(const GusParams& gus, SubsetMask s, SubsetMask u) {
   return d;
 }
 
-Result<std::vector<double>> UnbiasedYEstimates(const GusParams& gus,
-                                               const std::vector<double>& Y) {
+UnbiasingPlan::UnbiasingPlan(const GusParams& gus) {
   const size_t count = gus.schema().num_subsets();
-  if (Y.size() != count) {
-    return Status::InvalidArgument("Y table must have 2^n entries");
-  }
   const SubsetMask full = gus.schema().full_mask();
 
   // Order masks by decreasing popcount so every Ŷ_{S∪T} needed by the
@@ -34,22 +30,47 @@ Result<std::vector<double>> UnbiasedYEstimates(const GusParams& gus,
     return pa != pb ? pa > pb : a < b;
   });
 
-  std::vector<double> y_hat(count, 0.0);
+  steps_.reserve(count);
   for (SubsetMask s : order) {
     const double b_s = gus.b(s);
     if (b_s <= 0.0) {
-      return Status::InvalidArgument(
+      status_ = Status::InvalidArgument(
           "b_" + gus.schema().MaskToString(s) +
           " = 0: y_S is not estimable from this sampling design");
+      return;
     }
-    double rhs = Y[s];
+    Step step{s, b_s, term_u_.size(), 0};
     const SubsetMask complement = full & ~s;
     for (SubsetIterator it(complement); !it.done(); it.Next()) {
       if (it.mask() == 0) continue;
-      rhs -= UnbiasingCoefficient(gus, s, s | it.mask()) * y_hat[s | it.mask()];
+      term_u_.push_back(s | it.mask());
+      term_d_.push_back(UnbiasingCoefficient(gus, s, s | it.mask()));
     }
-    y_hat[s] = rhs / b_s;
+    step.end_term = term_u_.size();
+    steps_.push_back(step);
   }
+}
+
+void UnbiasingPlan::Apply(const double* Y, double* y_hat) const {
+  GUS_DCHECK(status_.ok());
+  for (const Step& step : steps_) {
+    double rhs = Y[step.s];
+    for (size_t t = step.first_term; t < step.end_term; ++t) {
+      rhs -= term_d_[t] * y_hat[term_u_[t]];
+    }
+    y_hat[step.s] = rhs / step.b_s;
+  }
+}
+
+Result<std::vector<double>> UnbiasedYEstimates(const GusParams& gus,
+                                               const std::vector<double>& Y) {
+  if (Y.size() != gus.schema().num_subsets()) {
+    return Status::InvalidArgument("Y table must have 2^n entries");
+  }
+  const UnbiasingPlan plan(gus);
+  GUS_RETURN_NOT_OK(plan.status());
+  std::vector<double> y_hat(Y.size(), 0.0);
+  plan.Apply(Y.data(), y_hat.data());
   return y_hat;
 }
 

@@ -30,9 +30,43 @@ double UnbiasingCoefficient(const GusParams& gus, SubsetMask s, SubsetMask u);
 /// unbiased estimates Ŷ of the full-data y statistics.
 ///
 /// Fails if some b_S = 0 (the sampling never keeps pairs with agreement S,
-/// so y_S is not estimable from this design).
+/// so y_S is not estimable from this design). A wrapper over
+/// UnbiasingPlan.
 Result<std::vector<double>> UnbiasedYEstimates(const GusParams& gus,
                                                const std::vector<double>& Y);
+
+/// \brief The recursion's GusParams-only parts, computed once: the
+/// decreasing-popcount order of the masks and every d_{S,U} it uses.
+///
+/// Apply then runs the recursion on any number of Y tables (one per GROUP
+/// BY group) with the same arithmetic, in the same order, as
+/// UnbiasedYEstimates.
+class UnbiasingPlan {
+ public:
+  explicit UnbiasingPlan(const GusParams& gus);
+
+  /// The failure UnbiasedYEstimates reports when some b_S = 0; OK when
+  /// the design is estimable.
+  const Status& status() const { return status_; }
+
+  /// Ŷ of the 2^n-entry table `Y` into the 2^n entries at `y_hat`.
+  /// Requires status().ok().
+  void Apply(const double* Y, double* y_hat) const;
+
+ private:
+  /// One mask of the order: Ŷ_s = (Y_s − Σ d_{s,u} Ŷ_u) / b_s over the
+  /// terms [first_term, end_term).
+  struct Step {
+    SubsetMask s = 0;
+    double b_s = 0.0;
+    size_t first_term = 0;
+    size_t end_term = 0;
+  };
+  Status status_;  // the first b_S = 0 in the order, if any
+  std::vector<Step> steps_;
+  std::vector<SubsetMask> term_u_;
+  std::vector<double> term_d_;
+};
 
 }  // namespace gus
 

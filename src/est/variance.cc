@@ -1,6 +1,7 @@
 #include "est/variance.h"
 
 #include "est/ys.h"
+#include "util/logging.h"
 
 namespace gus {
 
@@ -14,28 +15,30 @@ Result<double> PointEstimate(const GusParams& gus, const SampleView& sample) {
   return sample.SumF() / gus.a();
 }
 
+VarianceWeights::VarianceWeights(const GusParams& gus)
+    : weights_(gus.AllCFast()) {
+  if (gus.a() <= 0.0) {
+    status_ = Status::InvalidArgument("variance needs a > 0");
+  }
+  const double a2 = gus.a() * gus.a();
+  for (double& w : weights_) w /= a2;
+}
+
+double VarianceWeights::Variance(const double* y) const {
+  GUS_DCHECK(status_.ok());
+  double var = -y[0];  // − y_∅
+  for (size_t m = 0; m < weights_.size(); ++m) var += weights_[m] * y[m];
+  return var;
+}
+
 Result<double> VarianceFromY(const GusParams& gus,
                              const std::vector<double>& y) {
   if (y.size() != gus.schema().num_subsets()) {
     return Status::InvalidArgument("y table must have 2^n entries");
   }
-  if (gus.a() <= 0.0) {
-    return Status::InvalidArgument("variance needs a > 0");
-  }
-  const std::vector<double> c = gus.AllCFast();
-  const double a2 = gus.a() * gus.a();
-  double var = -y[0];  // − y_∅
-  for (SubsetMask m = 0; m < y.size(); ++m) {
-    var += c[m] / a2 * y[m];
-  }
-  return var;
-}
-
-Result<double> CovarianceFromY(const GusParams& gus,
-                               const std::vector<double>& y_bilinear) {
-  // The bilinear Theorem 1 has the same coefficient structure; only the
-  // y-table differs (polarization of the quadratic form).
-  return VarianceFromY(gus, y_bilinear);
+  const VarianceWeights weights(gus);
+  GUS_RETURN_NOT_OK(weights.status());
+  return weights.Variance(y.data());
 }
 
 Result<double> ExactVariance(const GusParams& gus,

@@ -22,15 +22,28 @@ namespace gus {
 /// The point estimate X = SumF / a.
 Result<double> PointEstimate(const GusParams& gus, const SampleView& sample);
 
-/// Var[X] from a y-table (true y or estimated Ŷ), Theorem 1.
+/// Var[X] from a y-table (true y or estimated Ŷ), Theorem 1. A wrapper
+/// over VarianceWeights.
 Result<double> VarianceFromY(const GusParams& gus,
                              const std::vector<double>& y);
 
-/// \brief Covariance between two SUM estimators X_f, X_g sharing the sample:
-///   Cov = sum_S (c_S/a^2) y^{fg}_S − y^{fg}_∅
-/// with y^{fg} the bilinear statistics. Used by the AVG delta method.
-Result<double> CovarianceFromY(const GusParams& gus,
-                               const std::vector<double>& y_bilinear);
+/// \brief Theorem 1's weights c_S / a^2, computed once per GusParams and
+/// applied to any number of y tables (one per GROUP BY group) with the
+/// same arithmetic, in the same order, as VarianceFromY.
+class VarianceWeights {
+ public:
+  explicit VarianceWeights(const GusParams& gus);
+
+  /// The failure VarianceFromY reports when a <= 0; OK otherwise.
+  const Status& status() const { return status_; }
+
+  /// Var[X] from the 2^n-entry table at `y`. Requires status().ok().
+  double Variance(const double* y) const;
+
+ private:
+  Status status_;
+  std::vector<double> weights_;  // c_S / a^2 by mask
+};
 
 /// \brief Oracle variance: evaluates Theorem 1 on the *full data*
 /// (exact y values). Used by tests and experiments as ground truth for the

@@ -9,10 +9,23 @@
 // Generalized to the bilinear form y_S^{f,g} = sum over groups of
 // (sum f)(sum g), which the AVG delta-method extension needs for the
 // covariance between the SUM and COUNT estimators; y_S = y_S^{f,f}.
+//
+// Every function here groups through one lattice walk. Each lineage column
+// is dense-coded at most once (exact 64-bit ids, first-occurrence order);
+// the walk derives each subset's groups from a parent subset's groups by
+// refinement with one more column: the parent's groups are reused as they
+// are when that column is constant within each of them, ids ascending
+// within contiguous parent groups are read as runs, and otherwise the
+// (parent group, code) pairs are dense-coded. Groups are the exact
+// agreement classes of the projected lineage, numbered in first-occurrence
+// order over the view's rows; per-group sums accumulate in row order and
+// fold in group order. So every value is a deterministic function of the
+// view (its row order included).
 
 #ifndef GUS_EST_YS_H_
 #define GUS_EST_YS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "est/sample_view.h"
@@ -21,11 +34,7 @@
 
 namespace gus {
 
-/// \brief y_S for a single agreement mask (hash grouping).
-///
-/// Groups are folded in first-occurrence order over the view's rows, so
-/// the value is a deterministic function of the view (its row order
-/// included), independent of hash-table layout.
+/// y_S for a single agreement mask.
 double ComputeYS(const SampleView& view, SubsetMask mask);
 
 /// Bilinear y_S^{f,g}; `g` must have the same length as view.f. Same
@@ -35,16 +44,41 @@ Result<double> ComputeYSBilinear(const SampleView& view,
                                  const std::vector<double>& g,
                                  SubsetMask mask);
 
-/// All 2^n statistics, indexed by mask (hash grouping).
+/// All 2^n statistics, indexed by mask; bit-identical to ComputeYS per mask.
 std::vector<double> ComputeAllYS(const SampleView& view);
 
 /// All 2^n bilinear statistics.
 Result<std::vector<double>> ComputeAllYSBilinear(const SampleView& view,
                                                  const std::vector<double>& g);
 
-/// \brief Sort-based alternative for a single mask.
+/// One bilinear table to fold: y^{columns[lhs], columns[rhs]}.
+struct YsTerm {
+  int lhs = 0;
+  int rhs = 0;
+};
+
+/// \brief The lattice walk behind every function above: several y tables
+/// over one set of partitions.
 ///
-/// Sorts row indexes by the projected lineage key instead of hashing;
+/// `lineage` holds the id columns (dimension d is mask bit d) and
+/// `columns` the value columns, all `rows` long; table t of the result is
+/// y^{columns[terms[t].lhs], columns[terms[t].rhs]}. Tables over the same
+/// lineage (AVG's y^{ff}, y^{fg}, y^{gg}) thus share one walk.
+///
+/// `group_begin`, when not empty, lays the rows out as groups one after
+/// another — group k is rows [group_begin[k], group_begin[k+1]), with
+/// front 0 and back `rows` — and the group is a dimension present in every
+/// partition: table t holds group k's y_S at [k * 2^n + S], equal bit for
+/// bit to the table of group k's rows alone. Empty: one group of all rows.
+std::vector<std::vector<double>> ComputeYsLattice(
+    const std::vector<std::vector<uint64_t>>& lineage,
+    const std::vector<const double*>& columns, int64_t rows,
+    const std::vector<YsTerm>& terms,
+    const std::vector<int64_t>& group_begin = {});
+
+/// \brief Sort-based alternative for a single mask (the A2 ablation).
+///
+/// Sorts row indexes by the projected lineage key instead of coding it;
 /// the same groups folded in key order, so results agree with ComputeYS
 /// up to rounding, at different constant factors — the A2 ablation bench
 /// compares the two.

@@ -388,15 +388,19 @@ Result<ApproxResult> EstimateFromBuilders(const PlannedQuery& planned,
             auto estimates,
             fanout->groups()[i].Finish(soa.top, options.confidence_level,
                                 options.bound_kind));
+        const std::string label =
+            "SUM(" + planned.items[i].expr->ToString() + ")";
+        const std::string group_prefix = planned.group_by + "=";
+        result.values.reserve(result.values.size() + estimates.size());
         for (const GroupEstimate& ge : estimates) {
-          ApproxValue value;
-          value.label = "SUM(" + planned.items[i].expr->ToString() + ")";
-          value.group = planned.group_by + "=" + ge.key.ToString();
+          ApproxValue& value = result.values.emplace_back();
+          value.label = label;
+          value.group = group_prefix;
+          value.group += ge.key.ToString();
           value.value = ge.estimate;
           value.stddev = ge.stddev;
           value.lo = ge.interval.lo;
           value.hi = ge.interval.hi;
-          result.values.push_back(std::move(value));
         }
       }
     }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -117,6 +118,9 @@ std::vector<double> RandomValues(int64_t rows, Rng* rng) {
   return out;
 }
 
+/// Bit pattern of a double, so comparisons also tell -0.0 from +0.0.
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
 /// Checks ComputeAllYS, ComputeAllYSBilinear, ComputeYS and
 /// ComputeYSBilinear bitwise against the oracle on every mask with
 /// mask % stride == 0 (and the full mask).
@@ -132,12 +136,12 @@ void ExpectMatchesOracle(const SampleView& v, Rng* rng,
     if (m % stride != 0 && m != full) continue;
     const double want = OracleYs(v, v.f, m);
     const double want_fg = OracleYs(v, g, m);
-    EXPECT_EQ(want, y[m]) << "mask " << m;
-    EXPECT_EQ(want_fg, y_fg[m]) << "mask " << m;
+    EXPECT_EQ(Bits(want), Bits(y[m])) << "mask " << m;
+    EXPECT_EQ(Bits(want_fg), Bits(y_fg[m])) << "mask " << m;
     if (m % (stride * 7) == 0) {
-      EXPECT_EQ(want, ComputeYS(v, m)) << "mask " << m;
+      EXPECT_EQ(Bits(want), Bits(ComputeYS(v, m))) << "mask " << m;
       ASSERT_OK_AND_ASSIGN(double one_fg, ComputeYSBilinear(v, g, m));
-      EXPECT_EQ(want_fg, one_fg) << "mask " << m;
+      EXPECT_EQ(Bits(want_fg), Bits(one_fg)) << "mask " << m;
     }
   }
 }
@@ -219,6 +223,17 @@ TEST(YsOracleTest, EmptyAndOneRowViews) {
     one.f = {-1.5};
     ExpectMatchesOracle(one, &rng);
     for (double y : ComputeAllYS(one)) EXPECT_EQ(2.25, y);
+
+    // f = 0, g = -1: the empty mask's direct product (+0.0)(-1) is -0.0;
+    // every other fold starts from +0.0 and so ends at +0.0.
+    SampleView zero = one;
+    zero.f = {0.0};
+    ASSERT_OK_AND_ASSIGN(std::vector<double> y, ComputeAllYSBilinear(
+                                                    zero, {-1.0}));
+    EXPECT_TRUE(std::signbit(y[0]));
+    for (size_t m = 1; m < y.size(); ++m) {
+      EXPECT_FALSE(std::signbit(y[m])) << "mask " << m;
+    }
   }
 }
 
@@ -257,6 +272,62 @@ TEST(YsOracleTest, ArityTwentyWithFewRows) {
   }
   v.f = RandomValues(kRows, &rng);
   ExpectMatchesOracle(v, &rng, /*stride=*/97);
+}
+
+TEST(YsLatticeTest, GroupedTablesEqualEachGroupAlone) {
+  // Groups laid out one after another, some empty: every group's tables
+  // (quadratic, bilinear and the g-quadratic, from one walk) must equal
+  // the tables of that group's rows alone, bit for bit. Column 0 is
+  // constant within each group but not across groups, so the grouped walk
+  // reuses partitions a global walk could not.
+  Rng rng(56);
+  for (int arity = 1; arity <= 3; ++arity) {
+    SCOPED_TRACE("arity " + std::to_string(arity));
+    SampleView flat = EmptyView(arity);
+    std::vector<double> g;
+    std::vector<int64_t> begin = {0};
+    std::vector<SampleView> alone;
+    std::vector<std::vector<double>> alone_g;
+    for (int k = 0; k < 30; ++k) {
+      SampleView group = EmptyView(arity);
+      const int64_t rows = static_cast<int64_t>(rng.UniformInt(uint64_t{9}));
+      for (int64_t i = 0; i < rows; ++i) {
+        for (int d = 0; d < arity; ++d) {
+          group.lineage[d].push_back(d == 0 ? static_cast<uint64_t>(k)
+                                            : rng.UniformInt(uint64_t{4}));
+        }
+      }
+      group.f = RandomValues(rows, &rng);
+      alone_g.push_back(RandomValues(rows, &rng));
+      for (int d = 0; d < arity; ++d) {
+        flat.lineage[d].insert(flat.lineage[d].end(),
+                               group.lineage[d].begin(),
+                               group.lineage[d].end());
+      }
+      flat.f.insert(flat.f.end(), group.f.begin(), group.f.end());
+      g.insert(g.end(), alone_g.back().begin(), alone_g.back().end());
+      begin.push_back(flat.num_rows());
+      alone.push_back(std::move(group));
+    }
+    const std::vector<std::vector<double>> tables =
+        ComputeYsLattice(flat.lineage, {flat.f.data(), g.data()},
+                         flat.num_rows(), {{0, 0}, {0, 1}, {1, 1}}, begin);
+    ASSERT_EQ(3u, tables.size());
+    const size_t subsets = flat.schema.num_subsets();
+    for (size_t k = 0; k < alone.size(); ++k) {
+      SampleView g_view = alone[k];
+      g_view.f = alone_g[k];
+      const std::vector<double> y_ff = ComputeAllYS(alone[k]);
+      ASSERT_OK_AND_ASSIGN(std::vector<double> y_fg,
+                           ComputeAllYSBilinear(alone[k], alone_g[k]));
+      const std::vector<double> y_gg = ComputeAllYS(g_view);
+      for (size_t m = 0; m < subsets; ++m) {
+        EXPECT_EQ(y_ff[m], tables[0][k * subsets + m]) << k << "/" << m;
+        EXPECT_EQ(y_fg[m], tables[1][k * subsets + m]) << k << "/" << m;
+        EXPECT_EQ(y_gg[m], tables[2][k * subsets + m]) << k << "/" << m;
+      }
+    }
+  }
 }
 
 TEST(YsTest, SortedVariantMatchesHashed) {
