@@ -45,7 +45,8 @@ void PrintAblationYs() {
       "groups}. Expected shape: coding wins at low group counts\n"
       "(cache-resident table), sort narrows the gap when groups are\n"
       "numerous. BM_AllYsFkChain is every subset of a 73k-row l -> o -> c\n"
-      "lineage (three column codings, no pair coding); BM_GroupedFinish is\n"
+      "lineage (l and o arrive in scan order and are read as runs, c is\n"
+      "the one column coding, no pair coding); BM_GroupedFinish is\n"
       "GroupedSumBuilder::Finish over 20k rows in ~12.6k groups.\n");
 }
 
@@ -55,7 +56,7 @@ void BM_YsHash(benchmark::State& state) {
   SampleView view =
       MakeView(state.range(0), static_cast<uint64_t>(state.range(1)), 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeYS(view, 0b01));
+    benchmark::DoNotOptimize(ComputeYS(view, 0b01).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -85,7 +86,7 @@ void BM_AllYs(benchmark::State& state) {
   SampleView view =
       MakeView(state.range(0), 1024, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeAllYS(view));
+    benchmark::DoNotOptimize(ComputeAllYS(view).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -117,7 +118,7 @@ SampleView MakeFkChainView(int64_t rows, uint64_t seed) {
 void BM_AllYsFkChain(benchmark::State& state) {
   const SampleView view = MakeFkChainView(73000, 9);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeAllYS(view));
+    benchmark::DoNotOptimize(ComputeAllYS(view).ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * view.num_rows());
 }

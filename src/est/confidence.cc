@@ -14,21 +14,17 @@ std::string ConfidenceInterval::ToString() const {
   return out.str();
 }
 
-Result<IntervalMaker> IntervalMaker::Make(double level, BoundKind kind) {
+Result<double> IntervalMultiplier(double level, BoundKind kind) {
   if (!(level > 0.0 && level < 1.0)) {
     return Status::InvalidArgument("confidence level must be in (0,1)");
   }
-  IntervalMaker maker;
-  maker.level_ = level;
-  maker.kind_ = kind;
-  maker.multiplier_ = kind == BoundKind::kNormal
-                          ? NormalQuantile(0.5 + level / 2.0)
-                          : ChebyshevMultiplier(level);
-  return maker;
+  return kind == BoundKind::kNormal ? NormalQuantile(0.5 + level / 2.0)
+                                    : ChebyshevMultiplier(level);
 }
 
-Result<ConfidenceInterval> IntervalMaker::Interval(double estimate,
-                                                   double variance) const {
+Result<ConfidenceInterval> MakeInterval(double estimate, double variance,
+                                        double level, BoundKind kind) {
+  GUS_ASSIGN_OR_RETURN(const double k, IntervalMultiplier(level, kind));
   if (variance < 0.0) {
     // Sample-estimated variances can go slightly negative; clamp tiny
     // negatives, reject clearly invalid input.
@@ -39,17 +35,11 @@ Result<ConfidenceInterval> IntervalMaker::Interval(double estimate,
   }
   const double sigma = std::sqrt(variance);
   ConfidenceInterval ci;
-  ci.lo = estimate - multiplier_ * sigma;
-  ci.hi = estimate + multiplier_ * sigma;
-  ci.level = level_;
-  ci.kind = kind_;
+  ci.lo = estimate - k * sigma;
+  ci.hi = estimate + k * sigma;
+  ci.level = level;
+  ci.kind = kind;
   return ci;
-}
-
-Result<ConfidenceInterval> MakeInterval(double estimate, double variance,
-                                        double level, BoundKind kind) {
-  GUS_ASSIGN_OR_RETURN(IntervalMaker maker, IntervalMaker::Make(level, kind));
-  return maker.Interval(estimate, variance);
 }
 
 Result<double> EstimateQuantile(double estimate, double variance, double q,

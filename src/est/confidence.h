@@ -34,22 +34,9 @@ struct ConfidenceInterval {
 Result<ConfidenceInterval> MakeInterval(double estimate, double variance,
                                         double level, BoundKind kind);
 
-/// \brief MakeInterval for many estimates at one level and kind (one per
-/// GROUP BY group): the multiplier is computed once, and every interval is
-/// bit-identical to MakeInterval's.
-class IntervalMaker {
- public:
-  /// Fails as MakeInterval does for a level outside (0, 1).
-  static Result<IntervalMaker> Make(double level, BoundKind kind);
-
-  /// Fails as MakeInterval does for a clearly negative variance.
-  Result<ConfidenceInterval> Interval(double estimate, double variance) const;
-
- private:
-  double level_ = 0.0;
-  BoundKind kind_ = BoundKind::kNormal;
-  double multiplier_ = 0.0;
-};
+/// The k of MakeInterval's estimate ± k·sqrt(variance), for callers that
+/// make many intervals at one level (one per GROUP BY group).
+Result<double> IntervalMultiplier(double level, BoundKind kind);
 
 /// \brief The QUANTILE(aggregate, q) of the paper's APPROX view: the value v
 /// with P[true answer < v] ≈ q under the estimator's distribution.

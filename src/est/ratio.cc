@@ -40,9 +40,10 @@ Result<RatioReport> RatioEstimate(const GusParams& gus, const SampleView& view,
 
   // Unbiased estimates of the three quadratic-form tables, folded over one
   // set of lineage partitions.
-  const std::vector<std::vector<double>> y = ComputeYsLattice(
-      view.lineage, {view.f.data(), g.data()}, view.num_rows(),
-      {{0, 0}, {0, 1}, {1, 1}});
+  GUS_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> y,
+                       ComputeYsLattice(view.lineage, {view.f.data(), g.data()},
+                                        view.num_rows(),
+                                        {{0, 0}, {0, 1}, {1, 1}}));
   const UnbiasingPlan unbias(gus);
   GUS_RETURN_NOT_OK(unbias.status());
   std::vector<std::vector<double>> y_hat(3, std::vector<double>(y[0].size()));
@@ -86,10 +87,11 @@ Result<CountReport> CountEstimate(const GusParams& gus,
 
   CountReport report;
   report.estimate = static_cast<double>(view.num_rows()) / gus.a();
-  const std::vector<double> Y = std::move(ComputeYsLattice(
-      view.lineage, {ones.data()}, view.num_rows(), {{0, 0}})[0]);
+  GUS_ASSIGN_OR_RETURN(const std::vector<std::vector<double>> y,
+                       ComputeYsLattice(view.lineage, {ones.data()},
+                                        view.num_rows(), {{0, 0}}));
   GUS_ASSIGN_OR_RETURN(std::vector<double> y_hat,
-                       UnbiasedYEstimates(gus, Y));
+                       UnbiasedYEstimates(gus, y[0]));
   GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus, y_hat));
   report.variance = std::max(0.0, var);
   report.stddev = std::sqrt(report.variance);

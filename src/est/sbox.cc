@@ -85,7 +85,8 @@ Result<SboxReport> SboxEstimate(const GusParams& gus, const SampleView& sample,
   report.variance_rows = variance_view->num_rows();
   report.analysis_gus = analysis;
 
-  const std::vector<double> Y = ComputeAllYS(*variance_view);
+  GUS_ASSIGN_OR_RETURN(const std::vector<double> Y,
+                       ComputeAllYS(*variance_view));
   GUS_ASSIGN_OR_RETURN(report.y_hat, UnbiasedYEstimates(analysis, Y));
   GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus, report.y_hat));
   report.variance = std::max(0.0, var);

@@ -344,7 +344,8 @@ Result<SboxReport> StreamingSboxEstimator::Finish() {
   report.variance_rows = variance_view->num_rows();
   report.analysis_gus = analysis;
 
-  const std::vector<double> Y = ComputeAllYS(*variance_view);
+  GUS_ASSIGN_OR_RETURN(const std::vector<double> Y,
+                       ComputeAllYS(*variance_view));
   GUS_ASSIGN_OR_RETURN(report.y_hat, UnbiasedYEstimates(analysis, Y));
   GUS_ASSIGN_OR_RETURN(double var, VarianceFromY(gus_, report.y_hat));
   report.variance = std::max(0.0, var);
@@ -448,12 +449,14 @@ Result<SboxReport> StreamingSboxEstimator::FinishDegraded(
         merged_view.lineage[d].push_back(s.retained_.lineage[d][i]);
       }
     }
-    const std::vector<double> y_k = ComputeAllYS(view_k);
+    GUS_ASSIGN_OR_RETURN(const std::vector<double> y_k,
+                         ComputeAllYS(view_k));
     for (size_t mask = 0; mask < num_subsets; ++mask) {
       y_within[mask] += y_k[mask];
     }
   }
-  const std::vector<double> y_merged = ComputeAllYS(merged_view);
+  GUS_ASSIGN_OR_RETURN(const std::vector<double> y_merged,
+                       ComputeAllYS(merged_view));
   report.variance_rows = merged_view.num_rows();
   report.analysis_gus = analysis;
 

@@ -46,7 +46,8 @@ Result<double> ExactVariance(const GusParams& gus,
   if (full_data.schema != gus.schema()) {
     return Status::InvalidArgument("full data / GUS schema mismatch");
   }
-  return VarianceFromY(gus, ComputeAllYS(full_data));
+  GUS_ASSIGN_OR_RETURN(const std::vector<double> y, ComputeAllYS(full_data));
+  return VarianceFromY(gus, y);
 }
 
 }  // namespace gus

@@ -21,6 +21,9 @@
 // order over the view's rows; per-group sums accumulate in row order and
 // fold in group order. So every value is a deterministic function of the
 // view (its row order included).
+//
+// Cells are numbered in 32 bits, so a view holds at most kMaxYsRows rows;
+// a larger one is rejected with InvalidArgument.
 
 #ifndef GUS_EST_YS_H_
 #define GUS_EST_YS_H_
@@ -34,8 +37,11 @@
 
 namespace gus {
 
+/// The most rows a view may hold (2^32 - 2).
+inline constexpr int64_t kMaxYsRows = int64_t{0xFFFFFFFF} - 1;
+
 /// y_S for a single agreement mask.
-double ComputeYS(const SampleView& view, SubsetMask mask);
+Result<double> ComputeYS(const SampleView& view, SubsetMask mask);
 
 /// Bilinear y_S^{f,g}; `g` must have the same length as view.f. Same
 /// grouping and fold order as ComputeYS, so ComputeYSBilinear(view,
@@ -45,7 +51,7 @@ Result<double> ComputeYSBilinear(const SampleView& view,
                                  SubsetMask mask);
 
 /// All 2^n statistics, indexed by mask; bit-identical to ComputeYS per mask.
-std::vector<double> ComputeAllYS(const SampleView& view);
+Result<std::vector<double>> ComputeAllYS(const SampleView& view);
 
 /// All 2^n bilinear statistics.
 Result<std::vector<double>> ComputeAllYSBilinear(const SampleView& view,
@@ -70,7 +76,11 @@ struct YsTerm {
 /// front 0 and back `rows` — and the group is a dimension present in every
 /// partition: table t holds group k's y_S at [k * 2^n + S], equal bit for
 /// bit to the table of group k's rows alone. Empty: one group of all rows.
-std::vector<std::vector<double>> ComputeYsLattice(
+///
+/// Fails with InvalidArgument for more than kMaxYsRows rows, a lineage
+/// column of another length, a term naming a missing column, or group
+/// offsets that do not ascend from 0 to `rows`.
+Result<std::vector<std::vector<double>>> ComputeYsLattice(
     const std::vector<std::vector<uint64_t>>& lineage,
     const std::vector<const double*>& columns, int64_t rows,
     const std::vector<YsTerm>& terms,

@@ -183,8 +183,9 @@ TEST(GroupByTest, GroupedFinishMatchesTheoremOnePerGroup) {
       }
     }
     ASSERT_OK_AND_ASSIGN(double estimate, PointEstimate(gus, alone));
+    ASSERT_OK_AND_ASSIGN(const std::vector<double> y, ComputeAllYS(alone));
     ASSERT_OK_AND_ASSIGN(std::vector<double> y_hat,
-                         UnbiasedYEstimates(gus, ComputeAllYS(alone)));
+                         UnbiasedYEstimates(gus, y));
     ASSERT_OK_AND_ASSIGN(double var, VarianceFromY(gus, y_hat));
     var = std::max(0.0, var);
     ASSERT_OK_AND_ASSIGN(ConfidenceInterval ci,

@@ -31,32 +31,32 @@ SampleView MakeHandView() {
 
 TEST(YsTest, EmptyMaskIsSquaredSum) {
   SampleView v = MakeHandView();
-  EXPECT_DOUBLE_EQ(100.0, ComputeYS(v, 0));  // (1+2+3+4)^2
+  EXPECT_DOUBLE_EQ(100.0, ComputeYS(v, 0).ValueOrDie());  // (1+2+3+4)^2
 }
 
 TEST(YsTest, FullMaskIsSumOfSquares) {
   SampleView v = MakeHandView();
-  EXPECT_DOUBLE_EQ(1.0 + 4.0 + 9.0 + 16.0, ComputeYS(v, 0b11));
+  EXPECT_DOUBLE_EQ(1.0 + 4.0 + 9.0 + 16.0, ComputeYS(v, 0b11).ValueOrDie());
 }
 
 TEST(YsTest, GroupByFirstDimension) {
   SampleView v = MakeHandView();
   // Group by A: {1+2}^2 + {3+4}^2 = 9 + 49.
-  EXPECT_DOUBLE_EQ(58.0, ComputeYS(v, 0b01));
+  EXPECT_DOUBLE_EQ(58.0, ComputeYS(v, 0b01).ValueOrDie());
 }
 
 TEST(YsTest, GroupBySecondDimension) {
   SampleView v = MakeHandView();
   // Group by B: {1+3}^2 + {2+4}^2 = 16 + 36.
-  EXPECT_DOUBLE_EQ(52.0, ComputeYS(v, 0b10));
+  EXPECT_DOUBLE_EQ(52.0, ComputeYS(v, 0b10).ValueOrDie());
 }
 
 TEST(YsTest, ComputeAllMatchesSingle) {
   SampleView v = MakeHandView();
-  const auto all = ComputeAllYS(v);
+  const auto all = ComputeAllYS(v).ValueOrDie();
   ASSERT_EQ(4u, all.size());
   for (SubsetMask m = 0; m < 4; ++m) {
-    EXPECT_DOUBLE_EQ(ComputeYS(v, m), all[m]);
+    EXPECT_DOUBLE_EQ(ComputeYS(v, m).ValueOrDie(), all[m]);
   }
 }
 
@@ -64,7 +64,7 @@ TEST(YsTest, EmptyViewAllZero) {
   SampleView v;
   v.schema = LineageSchema::Make({"A"}).ValueOrDie();
   v.lineage = {{}};
-  const auto all = ComputeAllYS(v);
+  const auto all = ComputeAllYS(v).ValueOrDie();
   EXPECT_DOUBLE_EQ(0.0, all[0]);
   EXPECT_DOUBLE_EQ(0.0, all[1]);
 }
@@ -127,7 +127,7 @@ uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 void ExpectMatchesOracle(const SampleView& v, Rng* rng,
                          SubsetMask stride = 1) {
   const std::vector<double> g = RandomValues(v.num_rows(), rng);
-  const std::vector<double> y = ComputeAllYS(v);
+  const std::vector<double> y = ComputeAllYS(v).ValueOrDie();
   ASSERT_OK_AND_ASSIGN(std::vector<double> y_fg, ComputeAllYSBilinear(v, g));
   ASSERT_EQ(v.schema.num_subsets(), y.size());
   ASSERT_EQ(v.schema.num_subsets(), y_fg.size());
@@ -139,7 +139,7 @@ void ExpectMatchesOracle(const SampleView& v, Rng* rng,
     EXPECT_EQ(Bits(want), Bits(y[m])) << "mask " << m;
     EXPECT_EQ(Bits(want_fg), Bits(y_fg[m])) << "mask " << m;
     if (m % (stride * 7) == 0) {
-      EXPECT_EQ(Bits(want), Bits(ComputeYS(v, m))) << "mask " << m;
+      EXPECT_EQ(Bits(want), Bits(ComputeYS(v, m).ValueOrDie())) << "mask " << m;
       ASSERT_OK_AND_ASSIGN(double one_fg, ComputeYSBilinear(v, g, m));
       EXPECT_EQ(Bits(want_fg), Bits(one_fg)) << "mask " << m;
     }
@@ -216,13 +216,16 @@ TEST(YsOracleTest, EmptyAndOneRowViews) {
   for (int arity = 1; arity <= 4; ++arity) {
     SampleView empty = EmptyView(arity);
     ExpectMatchesOracle(empty, &rng);
-    for (double f : ComputeAllYS(empty)) EXPECT_EQ(0.0, f);
+    ASSERT_OK_AND_ASSIGN(const std::vector<double> y_empty,
+                         ComputeAllYS(empty));
+    for (double f : y_empty) EXPECT_EQ(0.0, f);
 
     SampleView one = EmptyView(arity);
     for (int d = 0; d < arity; ++d) one.lineage[d].push_back(uint64_t(d));
     one.f = {-1.5};
     ExpectMatchesOracle(one, &rng);
-    for (double y : ComputeAllYS(one)) EXPECT_EQ(2.25, y);
+    ASSERT_OK_AND_ASSIGN(const std::vector<double> y_one, ComputeAllYS(one));
+    for (double y : y_one) EXPECT_EQ(2.25, y);
 
     // f = 0, g = -1: the empty mask's direct product (+0.0)(-1) is -0.0;
     // every other fold starts from +0.0 and so ends at +0.0.
@@ -253,7 +256,7 @@ TEST(YsOracleTest, ExtremeIds) {
   SampleView w = EmptyView(1);
   w.lineage = {{kMax, 0, kMax, 0, kMax}};
   w.f = {1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_EQ(9.0 * 9.0 + 6.0 * 6.0, ComputeAllYS(w)[1]);
+  EXPECT_EQ(9.0 * 9.0 + 6.0 * 6.0, ComputeAllYS(w).ValueOrDie()[1]);
 }
 
 TEST(YsOracleTest, ArityTwentyWithFewRows) {
@@ -309,18 +312,19 @@ TEST(YsLatticeTest, GroupedTablesEqualEachGroupAlone) {
       begin.push_back(flat.num_rows());
       alone.push_back(std::move(group));
     }
-    const std::vector<std::vector<double>> tables =
+    ASSERT_OK_AND_ASSIGN(
+        const std::vector<std::vector<double>> tables,
         ComputeYsLattice(flat.lineage, {flat.f.data(), g.data()},
-                         flat.num_rows(), {{0, 0}, {0, 1}, {1, 1}}, begin);
+                         flat.num_rows(), {{0, 0}, {0, 1}, {1, 1}}, begin));
     ASSERT_EQ(3u, tables.size());
     const size_t subsets = flat.schema.num_subsets();
     for (size_t k = 0; k < alone.size(); ++k) {
       SampleView g_view = alone[k];
       g_view.f = alone_g[k];
-      const std::vector<double> y_ff = ComputeAllYS(alone[k]);
+      const std::vector<double> y_ff = ComputeAllYS(alone[k]).ValueOrDie();
       ASSERT_OK_AND_ASSIGN(std::vector<double> y_fg,
                            ComputeAllYSBilinear(alone[k], alone_g[k]));
-      const std::vector<double> y_gg = ComputeAllYS(g_view);
+      const std::vector<double> y_gg = ComputeAllYS(g_view).ValueOrDie();
       for (size_t m = 0; m < subsets; ++m) {
         EXPECT_EQ(y_ff[m], tables[0][k * subsets + m]) << k << "/" << m;
         EXPECT_EQ(y_fg[m], tables[1][k * subsets + m]) << k << "/" << m;
@@ -328,6 +332,35 @@ TEST(YsLatticeTest, GroupedTablesEqualEachGroupAlone) {
       }
     }
   }
+}
+
+TEST(YsLatticeTest, RejectsInvalidInputs) {
+  const double f[] = {1.0, 2.0};
+  // More rows than 32-bit cell numbers cover: an error, checked before any
+  // row is read.
+  EXPECT_STATUS_CODE(
+      kInvalidArgument,
+      ComputeYsLattice({}, {f}, kMaxYsRows + 1, {{0, 0}}).status());
+  EXPECT_STATUS_CODE(kInvalidArgument,
+                     ComputeYsLattice({}, {f}, -1, {{0, 0}}).status());
+  // A lineage column shorter than the view.
+  EXPECT_STATUS_CODE(kInvalidArgument,
+                     ComputeYsLattice({{7}}, {f}, 2, {{0, 0}}).status());
+  // A term naming a missing value column.
+  EXPECT_STATUS_CODE(kInvalidArgument,
+                     ComputeYsLattice({{7, 8}}, {f}, 2, {{0, 1}}).status());
+  // Group offsets that stop short of the rows, or descend.
+  EXPECT_STATUS_CODE(kInvalidArgument,
+                     ComputeYsLattice({{7, 8}}, {f}, 2, {{0, 0}}, {0, 1})
+                         .status());
+  EXPECT_STATUS_CODE(
+      kInvalidArgument,
+      ComputeYsLattice({{7, 8}}, {f}, 2, {{0, 0}}, {0, 2, 1, 2}).status());
+  ASSERT_OK_AND_ASSIGN(
+      const std::vector<std::vector<double>> y,
+      ComputeYsLattice({{7, 8}}, {f}, 2, {{0, 0}}, {0, 1, 1, 2}));
+  // Groups {row 0}, {}, {row 1}; per group: y_{} and y_{A}.
+  EXPECT_EQ((std::vector<double>{1.0, 1.0, 0.0, 0.0, 4.0, 4.0}), y[0]);
 }
 
 TEST(YsTest, SortedVariantMatchesHashed) {
@@ -357,7 +390,7 @@ TEST(YsTest, SortedVariantMatchesHashed) {
     }
     for (int i = 0; i < kRows; ++i) v.f.push_back(rng.Uniform(-2.0, 2.0));
     for (SubsetMask m = 0; m < v.schema.num_subsets(); ++m) {
-      const double hashed = ComputeYS(v, m);
+      const double hashed = ComputeYS(v, m).ValueOrDie();
       const double sorted = ComputeYSSorted(v, m);
       EXPECT_NEAR(hashed, sorted, 1e-9 * std::abs(sorted)) << "mask " << m;
     }
@@ -376,7 +409,7 @@ TEST(YsTest, YsMonotoneUnderRefinement) {
     v.lineage[1].push_back(rng.UniformInt(uint64_t{9}));
     v.f.push_back(rng.Uniform(0.0, 1.0));
   }
-  const auto y = ComputeAllYS(v);
+  const auto y = ComputeAllYS(v).ValueOrDie();
   EXPECT_GE(y[0b00], y[0b01]);
   EXPECT_GE(y[0b00], y[0b10]);
   EXPECT_GE(y[0b01], y[0b11]);
@@ -395,7 +428,7 @@ TEST(YsBilinearTest, DiagonalEqualsQuadratic) {
   }
   for (SubsetMask m = 0; m < 4; ++m) {
     ASSERT_OK_AND_ASSIGN(double bl, ComputeYSBilinear(v, v.f, m));
-    EXPECT_EQ(ComputeYS(v, m), bl) << "mask " << m;
+    EXPECT_EQ(ComputeYS(v, m).ValueOrDie(), bl) << "mask " << m;
   }
 }
 
@@ -411,7 +444,7 @@ TEST(YsTest, GroupsFoldInFirstOccurrenceOrder) {
   v.schema = LineageSchema::Make({"A"}).ValueOrDie();
   v.lineage = {{7, 3, 9, 7, 5, 1, 3}};
   v.f = {0.5, tiny / 2, tiny, 0.5, tiny, tiny, tiny / 2};
-  EXPECT_EQ(1.0, ComputeYS(v, 0b1));
+  EXPECT_EQ(1.0, ComputeYS(v, 0b1).ValueOrDie());
 
   // Bilinear: group products 1e17, -1e17, 1 in first-occurrence order
   // (keys 4, 8, 2). The large terms cancel first, so the fold is exactly
