@@ -238,6 +238,8 @@ Result<GroupedSumBuilder> GroupedSumBuilder::Make(const BatchLayout& layout,
   builder.lineage_.assign(static_cast<size_t>(schema.arity()), {});
   ExprColumnFootprint(builder.bound_, layout.schema.num_columns(),
                       &builder.footprint_);
+  builder.reads_ = builder.footprint_;
+  builder.reads_[static_cast<size_t>(builder.key_idx_)] = 1;
   return builder;
 }
 

@@ -76,6 +76,11 @@ class GroupedSumBuilder final : public BatchSink {
   /// calling Consume.
   Status ConsumeView(const SelView& view) override;
   bool wants_views() const override { return true; }
+  /// The columns f reads plus the key column (nullptr on a deserialized,
+  /// merge-only builder).
+  const std::vector<char>* columns_read() const override {
+    return bound_ != nullptr ? &reads_ : nullptr;
+  }
 
   /// Folds a later partition's builder into this one: groups present in
   /// both merge their views, new groups are adopted.
@@ -116,6 +121,7 @@ class GroupedSumBuilder final : public BatchSink {
   int key_idx_ = 0;
   LineageSchema schema_;
   std::vector<char> footprint_;  // columns the bound f expression reads
+  std::vector<char> reads_;      // footprint_ plus the key column
   std::vector<double> f_scratch_;
   std::vector<int64_t> rows_scratch_;
   std::vector<uint64_t> hash_scratch_;

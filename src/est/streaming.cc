@@ -31,6 +31,8 @@ Result<SampleViewBuilder> SampleViewBuilder::Make(const BatchLayout& layout,
   GUS_ASSIGN_OR_RETURN(builder.source_,
                        MapAnalysisDims(layout.lineage_schema, schema));
   GUS_ASSIGN_OR_RETURN(builder.bound_, f_expr->Bind(layout.schema));
+  ExprColumnFootprint(builder.bound_, layout.schema.num_columns(),
+                      &builder.reads_);
   builder.view_.schema = schema;
   builder.view_.lineage.assign(schema.arity(), {});
   return builder;
@@ -89,6 +91,7 @@ Result<StreamingSboxEstimator> StreamingSboxEstimator::Make(
   GUS_ASSIGN_OR_RETURN(est.source_,
                        MapAnalysisDims(layout.lineage_schema, gus.schema()));
   GUS_ASSIGN_OR_RETURN(est.bound_, f_expr->Bind(layout.schema));
+  ExprColumnFootprint(est.bound_, layout.schema.num_columns(), &est.reads_);
   est.gus_ = gus;
   est.options_ = options;
   est.retained_.schema = gus.schema();
@@ -496,8 +499,8 @@ Result<SboxReport> StreamingSboxEstimator::FinishDegraded(
 
 void StreamingSboxEstimator::Reset() {
   // Everything Consume/Merge/Finish accumulate goes back to the
-  // just-Made state; gus_/options_/source_/bound_ are the immutable
-  // binding and stay.
+  // just-Made state; gus_/options_/source_/bound_/reads_ are the
+  // immutable binding and stay.
   rows_seen_ = 0;
   closed_sums_.clear();
   open_sum_ = 0.0;

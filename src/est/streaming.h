@@ -56,6 +56,10 @@ class SampleViewBuilder final : public BatchSink {
                                         const LineageSchema& schema);
 
   Status Consume(const ColumnBatch& batch) override;
+  /// The columns f reads (nullptr on a deserialized, merge-only builder).
+  const std::vector<char>* columns_read() const override {
+    return bound_ != nullptr ? &reads_ : nullptr;
+  }
 
   /// \brief Folds a later partition's builder into this one (same layout
   /// and analysis schema required).
@@ -83,6 +87,7 @@ class SampleViewBuilder final : public BatchSink {
 
   std::vector<int> source_;  // analysis dim -> layout lineage column
   ExprPtr bound_;
+  std::vector<char> reads_;  // footprint of bound_
   SampleView view_;
 };
 
@@ -99,6 +104,12 @@ class StreamingSboxEstimator final : public MergeableBatchSink {
                                              const SboxOptions& options = {});
 
   Status Consume(const ColumnBatch& batch) override;
+  /// The columns f reads: Theorem 1 needs only f(t) and the lineage, so a
+  /// segment-backed scan faults nothing else for the estimator (nullptr on
+  /// a deserialized, merge-only estimator).
+  const std::vector<char>* columns_read() const override {
+    return bound_ != nullptr ? &reads_ : nullptr;
+  }
 
   /// Merge of another StreamingSboxEstimator (the sink-protocol form).
   Status MergeFrom(BatchSink* other) override {
@@ -226,6 +237,7 @@ class StreamingSboxEstimator final : public MergeableBatchSink {
   SboxOptions options_;
   std::vector<int> source_;
   ExprPtr bound_;
+  std::vector<char> reads_;  // footprint of bound_
 
   int64_t rows_seen_ = 0;
   /// \brief The point-estimate numerator as per-segment partial sums.

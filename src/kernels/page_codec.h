@@ -9,7 +9,7 @@
 // store one place to vectorize if page decode ever shows up in a profile.
 //
 // PageChecksum is the integrity hash every segment fault runs over every
-// page byte, so it is word-wide rather than byte-serial: four independent
+// page byte it reads, so it is word-wide rather than byte-serial: four independent
 // 64-bit multiply-rotate lanes over 32-byte strides (the xxHash64 round
 // structure), which keeps ~4 multiplies in flight instead of FNV-1a's one
 // dependent multiply per byte.

@@ -21,12 +21,7 @@ Result<bool> BatchSource::Next(ColumnBatch* out) {
   GUS_ASSIGN_OR_RETURN(bool more, NextView(&view));
   if (!more) return false;
   PrepareBatch(layout_, out);
-  if (view.num_rows() == 0) return true;
-  if (view.contiguous()) {
-    out->AppendRangeFrom(*view.data, view.begin, view.len);
-  } else {
-    out->GatherFrom(*view.data, view.sel, view.sel_len);
-  }
+  if (view.num_rows() > 0) out->AppendView(view);
   return true;
 }
 
@@ -82,12 +77,7 @@ Result<ColumnarRelation> DrainSource(BatchSource* src) {
   while (true) {
     GUS_ASSIGN_OR_RETURN(bool more, src->NextView(&view));
     if (!more) break;
-    if (view.num_rows() == 0) continue;
-    if (view.contiguous()) {
-      out.mutable_data()->AppendRangeFrom(*view.data, view.begin, view.len);
-    } else {
-      out.mutable_data()->GatherFrom(*view.data, view.sel, view.sel_len);
-    }
+    if (view.num_rows() > 0) out.mutable_data()->AppendView(view);
   }
   return out;
 }
@@ -96,6 +86,7 @@ Status PumpToSink(BatchSource* pipeline, BatchSink* sink) {
   SelView view;
   ColumnBatch scratch;
   const bool views = sink->wants_views();
+  const std::vector<char>* cols = sink->columns_read();
   while (true) {
     GUS_ASSIGN_OR_RETURN(bool more, pipeline->NextView(&view));
     if (!more) break;
@@ -110,12 +101,9 @@ Status PumpToSink(BatchSource* pipeline, BatchSink* sink) {
       GUS_RETURN_NOT_OK(sink->ConsumeView(view));
       continue;
     }
+    // Only the columns the sink declared (plus lineage) are copied.
     PrepareBatch(pipeline->layout(), &scratch);
-    if (view.contiguous()) {
-      scratch.AppendRangeFrom(*view.data, view.begin, view.len);
-    } else {
-      scratch.GatherFrom(*view.data, view.sel, view.sel_len);
-    }
+    scratch.AppendView(view, cols);
     GUS_RETURN_NOT_OK(sink->Consume(scratch));
   }
   return Status::OK();
@@ -747,7 +735,7 @@ Result<std::unique_ptr<BatchSource>> CompileBatchPipeline(
                            catalog->Stored(plan->relation()));
       if (stored != nullptr) {
         return MakeStoredScanSource(stored, catalog->segment_cache(),
-                                    batch_rows);
+                                    &stored->all_columns(), batch_rows);
       }
       GUS_ASSIGN_OR_RETURN(const ColumnarRelation* rel,
                            catalog->Get(plan->relation()));

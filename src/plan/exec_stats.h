@@ -64,7 +64,12 @@ struct ExecStats {
   int64_t bytes_moved = 0;    ///< approx payload of those rows (cols+lineage)
   int64_t sinks_created = 0;  ///< fresh per-morsel sink allocations
   int64_t sinks_recycled = 0; ///< sinks served from the reuse arena
-  /// Morsels run by each worker (index = worker id; 0 is the caller).
+  /// Morsels executed by each worker (index = worker id; 0 is the
+  /// caller). A unit the segment pruner skipped costs nothing and is not
+  /// counted, so
+  ///   sum(worker_morsels) + skipped units == morsels
+  /// (with morsels aligned 1:1 to segments, skipped units ==
+  /// segments_skipped).
   std::vector<int64_t> worker_morsels;
 
   // ---- Pool behavior ----
@@ -96,10 +101,13 @@ struct ExecStats {
   /// Segment decodes performed during this execution (cache-miss faults,
   /// including materializations of non-pivot relations).
   int64_t segments_faulted = 0;
-  /// Page bytes decoded from disk during this execution. With a cold cache,
-  /// one thread and a single-relation plan,
+  /// Page bytes decoded from disk during this execution. Faults are
+  /// column-projected: a morsel-engine scan of a segment-backed pivot
+  /// decodes only the columns its predicates and sink read, plus the
+  /// lineage. With a cold cache, one thread and a single-relation plan,
   ///   segments_skipped + segments_faulted == segments_total
-  /// and store_bytes_read is exactly the faulted segments' page bytes.
+  /// and store_bytes_read is exactly the faulted segments x the page bytes
+  /// of that footprint (StoredRelation::PageBytes).
   int64_t store_bytes_read = 0;
 
   // ---- Approximate-view cache (serve/view_cache.h; filled by the

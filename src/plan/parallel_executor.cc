@@ -12,9 +12,10 @@
 #include <vector>
 
 #include "kernels/join_hash_table.h"
-#include "plan/exec_stats.h"
 #include "kernels/key_hash.h"
 #include "kernels/sampling_kernels.h"
+#include "plan/exec_stats.h"
+#include "plan/vector_eval.h"
 #include "sampling/samplers.h"
 #include "store/pruner.h"
 #include "store/segment_cache.h"
@@ -192,6 +193,7 @@ struct MorselProgramNode {
 
   Kind kind = Kind::kScanSlice;
   const PlanNode* node = nullptr;  // kSelect / kStreamSample
+  std::vector<char> footprint;     // kSelect: columns the predicate reads
   bool stream_ok = false;          // kStreamSample: Bernoulli may fuse
   std::shared_ptr<const std::vector<int64_t>> keep;  // kKeepSlice (sorted)
   uint64_t sampler_seed = 0;                         // kBlockSample
@@ -661,6 +663,9 @@ struct MorselProgram {
   /// Per-unit skip mask from the SegmentPruner (empty = nothing skipped):
   /// unit m is provably empty, so run_morsel folds its sink untouched.
   std::vector<char> unit_skip;
+  /// The pivot columns the morsel pipelines read (PivotColumnsRead); a
+  /// segment-backed pivot faults only these pages plus the lineage.
+  std::vector<char> pivot_cols;
 
   int64_t num_morsels() const {
     return MorselCount(pivot_rows, morsel_rows);
@@ -700,11 +705,13 @@ Result<ProgramPtr> CompileNode(const PlanPtr& plan, ColumnarCatalog* catalog,
           ProgramPtr child,
           CompileNode(plan->child(), catalog, rng, mode, options, prog));
       // Static resolution errors surface here, not on a worker.
-      GUS_RETURN_NOT_OK(
-          plan->predicate()->Bind(child->layout->schema).status());
+      GUS_ASSIGN_OR_RETURN(ExprPtr bound,
+                           plan->predicate()->Bind(child->layout->schema));
       auto node = std::make_unique<MorselProgramNode>();
       node->kind = MorselProgramNode::Kind::kSelect;
       node->node = plan.get();
+      ExprColumnFootprint(bound, child->layout->schema.num_columns(),
+                          &node->footprint);
       node->layout = child->layout;
       node->child = std::move(child);
       return node;
@@ -906,7 +913,8 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
     case MorselProgramNode::Kind::kScanSlice:
       if (prog.pivot_store != nullptr) {
         return MakeStoredScanSource(prog.pivot_store, prog.store_cache,
-                                    prog.batch_rows, begin, len);
+                                    &prog.pivot_cols, prog.batch_rows, begin,
+                                    len);
       }
       return MakeScanSource(prog.pivot_rel, prog.batch_rows, begin, len);
     case MorselProgramNode::Kind::kKeepSlice: {
@@ -920,8 +928,8 @@ Result<std::unique_ptr<BatchSource>> InstantiateNode(
           keep.begin();
       if (prog.pivot_store != nullptr) {
         return std::unique_ptr<BatchSource>(new StoredKeepSliceSource(
-            prog.pivot_store, prog.store_cache, n.keep, lo, hi - lo,
-            prog.batch_rows));
+            prog.pivot_store, prog.store_cache, &prog.pivot_cols, n.keep, lo,
+            hi - lo, prog.batch_rows));
       }
       return std::unique_ptr<BatchSource>(new SelectionListSource(
           prog.pivot_rel, n.keep, lo, hi - lo, prog.batch_rows));
@@ -1097,6 +1105,58 @@ PrunePlan BuildPrunePlan(const MorselProgram& prog) {
   return plan;
 }
 
+// ---- Column projection -----------------------------------------------------
+
+/// \brief Adds the pivot columns node `n`'s pipeline reads to `cols`;
+/// false when some node gathers or materializes whole rows.
+///
+/// Selects read their predicate's footprint; keep slices and fused
+/// samplers only compose selections. Breaker samplers, block sampling and
+/// re-keying, join probes, products and unions copy every column (and
+/// past a join the layout is no longer the pivot's).
+bool AddPathReads(const MorselProgramNode& n, std::vector<char>* cols) {
+  switch (n.kind) {
+    case MorselProgramNode::Kind::kScanSlice:
+      return true;
+    case MorselProgramNode::Kind::kKeepSlice:
+      return AddPathReads(*n.child, cols);
+    case MorselProgramNode::Kind::kSelect:
+      for (size_t c = 0; c < cols->size(); ++c) (*cols)[c] |= n.footprint[c];
+      return AddPathReads(*n.child, cols);
+    case MorselProgramNode::Kind::kStreamSample:
+      // MakeSampleSource fuses lineage Bernoulli always, plain Bernoulli
+      // when stream_ok; otherwise it is a breaker.
+      if (n.stream_ok ||
+          n.node->spec().method == SamplingMethod::kLineageBernoulli) {
+        return AddPathReads(*n.child, cols);
+      }
+      return false;
+    case MorselProgramNode::Kind::kBlockSample:
+    case MorselProgramNode::Kind::kBlockRekey:
+    case MorselProgramNode::Kind::kJoinProbe:
+    case MorselProgramNode::Kind::kProduct:
+    case MorselProgramNode::Kind::kUnion:
+      return false;
+  }
+  return false;
+}
+
+/// \brief The pivot columns the morsel pipelines read, given the columns
+/// the sink declared (BatchSink::columns_read; nullptr = every column):
+/// the sink's plus every pivot-path predicate's, or every column when a
+/// node on the path needs whole rows.
+std::vector<char> PivotColumnsRead(const MorselProgram& prog,
+                                   const std::vector<char>* sink_reads) {
+  std::vector<char> all(
+      static_cast<size_t>(prog.pivot_layout->schema.num_columns()), 1);
+  if (sink_reads == nullptr) return all;
+  // A projectable path keeps the pivot layout up to the sink.
+  std::vector<char> cols = *sink_reads;
+  if (!AddPathReads(*prog.root, &cols)) return all;
+  GUS_CHECK(cols.size() == all.size());
+  return cols;
+}
+
 /// \brief Builds the shared morsel-program state: resolves the pivot
 /// backing (segment store or materialized relation), executes every
 /// non-pivot subtree serially with `rng`, binds predicates, resolves
@@ -1159,6 +1219,9 @@ class CountingSink final : public BatchSink {
     return inner_->Consume(batch);
   }
   bool wants_views() const override { return inner_->wants_views(); }
+  const std::vector<char>* columns_read() const override {
+    return inner_->columns_read();
+  }
   Status ConsumeView(const SelView& view) override {
     *rows_ += view.num_rows();
     return inner_->ConsumeView(view);
@@ -1285,11 +1348,19 @@ Status ParallelExecuteUnitRangeToSink(
   const uint64_t stream_base = rng->Next();
   if (stream_base_out != nullptr) *stream_base_out = stream_base;
 
+  // The first sink declares the columns it reads, fixing the pivot
+  // footprint once per query; it then serves the first morsel.
+  GUS_ASSIGN_OR_RETURN(std::unique_ptr<MergeableBatchSink> first_sink,
+                       make_sink(*program.out_layout));
+  if (program.pivot_store != nullptr) {
+    program.pivot_cols = PivotColumnsRead(program, first_sink->columns_read());
+  }
+
   const int64_t num_morsels = program.num_morsels();
   unit_begin = std::clamp<int64_t>(unit_begin, 0, num_morsels);
   unit_end = std::clamp<int64_t>(unit_end, unit_begin, num_morsels);
   if (unit_begin >= unit_end) {
-    GUS_ASSIGN_OR_RETURN(*out, make_sink(*program.out_layout));
+    *out = std::move(first_sink);
     if (stats != nullptr) {
       stats->sinks_created = 1;
       snap_store_stats();
@@ -1329,7 +1400,7 @@ Status ParallelExecuteUnitRangeToSink(
   std::unique_ptr<MergeableBatchSink> merged;
   Status error;
   std::vector<std::unique_ptr<MergeableBatchSink>> arena;
-  int64_t sinks_created = 0;
+  int64_t sinks_created = 1;  // first_sink
   int64_t sinks_recycled = 0;
   double fold_ms = 0.0;
   std::atomic<int64_t> rows_emitted{0};
@@ -1339,10 +1410,6 @@ Status ParallelExecuteUnitRangeToSink(
       std::lock_guard<std::mutex> lock(mu);
       if (!error.ok()) return;
     }
-    if (stats != nullptr) {
-      // Distinct slot per worker; published by the pool's completion sync.
-      stats->worker_morsels[worker] += 1;
-    }
     Rng morsel_rng = Rng::ForkStream(stream_base, static_cast<uint64_t>(m));
     // Pruned unit: fold its sink untouched — byte-identical to "executed
     // and emitted nothing", which the exclusion proof guarantees; the
@@ -1350,12 +1417,19 @@ Status ParallelExecuteUnitRangeToSink(
     const bool skip_unit =
         !program.unit_skip.empty() &&
         program.unit_skip[static_cast<size_t>(m)] != 0;
+    if (stats != nullptr && !skip_unit) {
+      // Distinct slot per worker; published by the pool's completion sync.
+      // A pruned unit costs nothing, so it is not counted as work.
+      stats->worker_morsels[worker] += 1;
+    }
     Status status;
     std::unique_ptr<MergeableBatchSink> sink;
     do {
       {
         std::lock_guard<std::mutex> lock(mu);
-        if (!arena.empty()) {
+        if (first_sink != nullptr) {
+          sink = std::move(first_sink);
+        } else if (!arena.empty()) {
           sink = std::move(arena.back());
           arena.pop_back();
           ++sinks_recycled;

@@ -136,11 +136,14 @@ void ColumnBatch::Reserve(int64_t n) {
 }
 
 void ColumnBatch::AppendRangeFrom(const ColumnBatch& src, int64_t begin,
-                                  int64_t len) {
+                                  int64_t len,
+                                  const std::vector<char>* cols) {
   GUS_DCHECK(src.num_columns() == num_columns());
   GUS_DCHECK(src.lineage_arity() == lineage_arity());
+  GUS_DCHECK(cols == nullptr || cols->size() == columns_.size());
   if (len <= 0) return;
   for (size_t c = 0; c < columns_.size(); ++c) {
+    if (cols != nullptr && !(*cols)[c]) continue;
     ColumnData& dst = columns_[c];
     const ColumnData& from = src.columns_[c];
     switch (dst.type) {
@@ -237,14 +240,25 @@ void GatherLineage(std::vector<uint64_t>* dst,
 }  // namespace
 
 void ColumnBatch::GatherFrom(const ColumnBatch& src, const int64_t* sel,
-                             int64_t len) {
+                             int64_t len, const std::vector<char>* cols) {
   GUS_DCHECK(src.num_columns() == num_columns());
   GUS_DCHECK(src.lineage_arity() == lineage_arity());
+  GUS_DCHECK(cols == nullptr || cols->size() == columns_.size());
   for (size_t c = 0; c < columns_.size(); ++c) {
+    if (cols != nullptr && !(*cols)[c]) continue;
     GatherColumn(&columns_[c], src.columns_[c], sel, len);
   }
   GatherLineage(&lineage_, src.lineage_, lineage_arity(), sel, len);
   num_rows_ += len;
+}
+
+void ColumnBatch::AppendView(const SelView& view,
+                             const std::vector<char>* cols) {
+  if (view.contiguous()) {
+    AppendRangeFrom(*view.data, view.begin, view.len, cols);
+  } else {
+    GatherFrom(*view.data, view.sel, view.sel_len, cols);
+  }
 }
 
 void ColumnBatch::GatherColumnsFrom(const ColumnBatch& src, const int64_t* sel,
@@ -312,11 +326,7 @@ Status BatchSink::ConsumeView(const SelView& view) {
   if (view.num_rows() == 0) return Status::OK();
   if (view.whole_batch()) return Consume(*view.data);
   ColumnBatch scratch(view.data->layout_ptr());
-  if (view.contiguous()) {
-    scratch.AppendRangeFrom(*view.data, view.begin, view.len);
-  } else {
-    scratch.GatherFrom(*view.data, view.sel, view.sel_len);
-  }
+  scratch.AppendView(view, columns_read());
   return Consume(scratch);
 }
 

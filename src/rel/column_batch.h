@@ -112,6 +112,8 @@ struct ColumnData {
   void AppendFrom(const ColumnData& src, int64_t row);
 };
 
+struct SelView;
+
 /// \brief A chunk of rows in columnar layout with flat row-major lineage.
 class ColumnBatch {
  public:
@@ -149,8 +151,14 @@ class ColumnBatch {
   void Clear();
   void Reserve(int64_t n);
 
-  /// Appends `len` rows of `src` starting at `begin` (same layout shape).
-  void AppendRangeFrom(const ColumnBatch& src, int64_t begin, int64_t len);
+  /// \brief Appends `len` rows of `src` starting at `begin` (same layout
+  /// shape).
+  ///
+  /// `cols` (optional, one flag per column) restricts the copy to the
+  /// flagged columns — the others are left untouched, so `src` may hold
+  /// them empty (a projected segment fault); lineage is always copied.
+  void AppendRangeFrom(const ColumnBatch& src, int64_t begin, int64_t len,
+                       const std::vector<char>* cols = nullptr);
 
   /// Appends the rows selected by `sel` (indexes into `src`).
   void GatherFrom(const ColumnBatch& src, const std::vector<int64_t>& sel) {
@@ -159,7 +167,14 @@ class ColumnBatch {
 
   /// Pointer-range form: lets pipeline operators gather a sub-range of a
   /// persistent selection list without allocating a per-batch copy.
-  void GatherFrom(const ColumnBatch& src, const int64_t* sel, int64_t len);
+  /// `cols` restricts the columns as in AppendRangeFrom.
+  void GatherFrom(const ColumnBatch& src, const int64_t* sel, int64_t len,
+                  const std::vector<char>* cols = nullptr);
+
+  /// Appends the rows of `view` (a range or a gather; `cols` as in
+  /// AppendRangeFrom).
+  void AppendView(const SelView& view,
+                  const std::vector<char>* cols = nullptr);
 
   /// \brief Gathers only the columns flagged in `cols` (others stay
   /// empty); lineage is not copied.
@@ -301,11 +316,22 @@ class BatchSink {
   /// then skips the gather into a scratch batch entirely.
   virtual bool wants_views() const { return false; }
 
+  /// \brief The input columns this sink reads (one flag per column of the
+  /// layout it was made for), or nullptr — the default — for every column.
+  ///
+  /// A sink that declares a footprint may be handed batches and views
+  /// whose other columns are empty (never decoded, never gathered); it
+  /// must not read them. Lineage is always present. The morsel engine
+  /// faults only these columns (plus what the plan's predicates read) of a
+  /// segment-backed pivot.
+  virtual const std::vector<char>* columns_read() const { return nullptr; }
+
   /// \brief Consumes the rows of `view` (same stream semantics as Consume).
   ///
-  /// The default gathers into a temporary batch and forwards to Consume,
-  /// which is correct for every sink; hot-path sinks override both this
-  /// and wants_views() to run gather-free over the borrowed columns.
+  /// The default gathers the columns_read() footprint and the lineage into
+  /// a temporary batch and forwards to Consume, which is correct for every
+  /// sink; hot-path sinks override both this and wants_views() to run
+  /// gather-free over the borrowed columns.
   virtual Status ConsumeView(const SelView& view);
 };
 

@@ -247,20 +247,32 @@ class ItemFanoutSink final : public MergeableBatchSink {
       const BatchLayout& layout, const std::vector<SelectItem>& items,
       const LineageSchema& schema, const std::string& group_by) {
     auto sink = std::unique_ptr<ItemFanoutSink>(new ItemFanoutSink());
+    sink->reads_.assign(static_cast<size_t>(layout.schema.num_columns()), 0);
+    const auto add_reads = [&sink](const BatchSink& builder) {
+      const std::vector<char>& reads = *builder.columns_read();
+      for (size_t c = 0; c < reads.size(); ++c) sink->reads_[c] |= reads[c];
+    };
     for (const SelectItem& item : items) {
       if (group_by.empty()) {
         GUS_ASSIGN_OR_RETURN(SampleViewBuilder builder,
                              SampleViewBuilder::Make(layout, item.expr,
                                                      schema));
+        add_reads(builder);
         sink->views_.push_back(std::move(builder));
       } else {
         GUS_ASSIGN_OR_RETURN(
             GroupedSumBuilder builder,
             GroupedSumBuilder::Make(layout, item.expr, group_by, schema));
+        add_reads(builder);
         sink->groups_.push_back(std::move(builder));
       }
     }
     return sink;
+  }
+
+  /// Every item's columns (nullptr on a deserialized, merge-only sink).
+  const std::vector<char>* columns_read() const override {
+    return reads_.empty() ? nullptr : &reads_;
   }
 
   Status Consume(const ColumnBatch& batch) override {
@@ -364,6 +376,7 @@ class ItemFanoutSink final : public MergeableBatchSink {
   int64_t sample_rows_ = 0;
   std::vector<SampleViewBuilder> views_;
   std::vector<GroupedSumBuilder> groups_;
+  std::vector<char> reads_;  // union of the builders' columns_read()
 };
 
 /// The estimate tail every engine shares: per-item estimation over the

@@ -5,8 +5,8 @@
 namespace gus {
 
 Result<std::shared_ptr<const ColumnBatch>> SegmentCache::Fault(
-    const StoredRelation& rel, int64_t s) {
-  const Key key{&rel, s};
+    const StoredRelation& rel, int64_t s, const std::vector<char>& cols) {
+  const Key key{&rel, s, cols};
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     auto it = slots_.find(key);
@@ -26,7 +26,7 @@ Result<std::shared_ptr<const ColumnBatch>> SegmentCache::Fault(
   slot.loading = true;
   lock.unlock();
 
-  Result<ColumnBatch> decoded = rel.DecodeSegment(s);
+  Result<ColumnBatch> decoded = rel.DecodeSegment(s, cols);
 
   lock.lock();
   auto it = slots_.find(key);
@@ -36,7 +36,7 @@ Result<std::shared_ptr<const ColumnBatch>> SegmentCache::Fault(
     load_done_.notify_all();
     return decoded.status();
   }
-  const int64_t bytes = rel.segment(s).page_bytes;
+  const int64_t bytes = rel.PageBytes(s, cols);
   auto batch =
       std::make_shared<const ColumnBatch>(std::move(decoded).ValueOrDie());
   it->second.loading = false;

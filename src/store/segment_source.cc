@@ -14,10 +14,12 @@ namespace {
 class StoredScanSliceSource final : public BatchSource {
  public:
   StoredScanSliceSource(const StoredRelation* store, SegmentCache* cache,
-                        int64_t batch_rows, int64_t begin, int64_t len)
+                        const std::vector<char>* cols, int64_t batch_rows,
+                        int64_t begin, int64_t len)
       : BatchSource(store->layout_ptr()),
         store_(store),
         cache_(cache),
+        cols_(cols),
         batch_rows_(batch_rows),
         pos_(begin),
         end_(len < 0 ? store->num_rows()
@@ -27,7 +29,7 @@ class StoredScanSliceSource final : public BatchSource {
     if (pos_ >= end_) return false;
     const int64_t s = store_->SegmentOfRow(pos_);
     if (s != pin_seg_) {
-      GUS_ASSIGN_OR_RETURN(pin_, cache_->Fault(*store_, s));
+      GUS_ASSIGN_OR_RETURN(pin_, cache_->Fault(*store_, s, *cols_));
       pin_seg_ = s;
     }
     const SegmentInfo& info = store_->segment(s);
@@ -42,6 +44,7 @@ class StoredScanSliceSource final : public BatchSource {
  private:
   const StoredRelation* store_;
   SegmentCache* cache_;
+  const std::vector<char>* cols_;
   int64_t batch_rows_;
   int64_t pos_;
   int64_t end_;
@@ -51,12 +54,12 @@ class StoredScanSliceSource final : public BatchSource {
 
 }  // namespace
 
-std::unique_ptr<BatchSource> MakeStoredScanSource(const StoredRelation* store,
-                                                  SegmentCache* cache,
-                                                  int64_t batch_rows,
-                                                  int64_t begin, int64_t len) {
+std::unique_ptr<BatchSource> MakeStoredScanSource(
+    const StoredRelation* store, SegmentCache* cache,
+    const std::vector<char>* cols, int64_t batch_rows, int64_t begin,
+    int64_t len) {
   return std::unique_ptr<BatchSource>(
-      new StoredScanSliceSource(store, cache, batch_rows, begin, len));
+      new StoredScanSliceSource(store, cache, cols, batch_rows, begin, len));
 }
 
 Result<bool> StoredKeepSliceSource::NextView(SelView* out) {
@@ -64,7 +67,7 @@ Result<bool> StoredKeepSliceSource::NextView(SelView* out) {
   const std::vector<int64_t>& keep = *keep_;
   const int64_t s = store_->SegmentOfRow(keep[pos_]);
   if (s != pin_seg_) {
-    GUS_ASSIGN_OR_RETURN(pin_, cache_->Fault(*store_, s));
+    GUS_ASSIGN_OR_RETURN(pin_, cache_->Fault(*store_, s, *cols_));
     pin_seg_ = s;
   }
   const SegmentInfo& info = store_->segment(s);

@@ -20,6 +20,12 @@
 // A source holds at most one segment pin at a time, so a full scan's
 // resident footprint is one decoded segment per pipeline leaf (plus
 // whatever the cache keeps warm), not the whole relation.
+//
+// Every source faults one column footprint `cols` (flags over the stored
+// schema; store->all_columns() for every column): the emitted views carry
+// only those columns plus the lineage, the rest are empty. The caller
+// guarantees nothing downstream reads an unflagged column, and `cols`
+// must outlive the source.
 
 #ifndef GUS_STORE_SEGMENT_SOURCE_H_
 #define GUS_STORE_SEGMENT_SOURCE_H_
@@ -35,13 +41,12 @@
 namespace gus {
 
 /// Streams rows [begin, begin + len) of `store` (len < 0 means "to the
-/// end"), faulting segments through `cache` and emitting contiguous views
-/// over the pinned batches.
-std::unique_ptr<BatchSource> MakeStoredScanSource(const StoredRelation* store,
-                                                  SegmentCache* cache,
-                                                  int64_t batch_rows,
-                                                  int64_t begin = 0,
-                                                  int64_t len = -1);
+/// end"), faulting the `cols` footprint of each segment through `cache`
+/// and emitting contiguous views over the pinned batches.
+std::unique_ptr<BatchSource> MakeStoredScanSource(
+    const StoredRelation* store, SegmentCache* cache,
+    const std::vector<char>* cols, int64_t batch_rows, int64_t begin = 0,
+    int64_t len = -1);
 
 /// \brief Keep-list slice over stored segments: emits the rows named by
 /// `keep[offset, offset+len)` (global row ids, ascending) as selection
@@ -52,11 +57,13 @@ std::unique_ptr<BatchSource> MakeStoredScanSource(const StoredRelation* store,
 class StoredKeepSliceSource final : public BatchSource {
  public:
   StoredKeepSliceSource(const StoredRelation* store, SegmentCache* cache,
+                        const std::vector<char>* cols,
                         std::shared_ptr<const std::vector<int64_t>> keep,
                         int64_t offset, int64_t len, int64_t batch_rows)
       : BatchSource(store->layout_ptr()),
         store_(store),
         cache_(cache),
+        cols_(cols),
         keep_(std::move(keep)),
         pos_(offset),
         end_(offset + len),
@@ -67,6 +74,7 @@ class StoredKeepSliceSource final : public BatchSource {
  private:
   const StoredRelation* store_;
   SegmentCache* cache_;
+  const std::vector<char>* cols_;
   std::shared_ptr<const std::vector<int64_t>> keep_;
   int64_t pos_;
   int64_t end_;
@@ -83,6 +91,7 @@ class StoredKeepSliceSource final : public BatchSource {
 /// id); kept rows gather from pinned segments into an owned batch and
 /// their lineage re-keys to the global block id, so the emitted rows are
 /// bit-identical to the in-memory path whatever the segment geometry.
+/// The gather copies whole rows, so it always faults every column.
 class StoredBlockSampleSource final : public BatchSource {
  public:
   StoredBlockSampleSource(const StoredRelation* store, SegmentCache* cache,

@@ -20,9 +20,11 @@ namespace gus {
 namespace {
 
 constexpr uint32_t kMagic = 0x47455347u;  // "GSEG" little-endian
-// Version 2: page checksums are PageChecksum chains (version 1 used
-// byte-serial FNV-1a). There is one reader; older files are refused.
-constexpr uint32_t kVersion = 2;
+// Version 3: one PageChecksum per page, so a projected fault verifies
+// exactly the pages it reads (version 2 chained one PageChecksum over a
+// whole segment, version 1 used byte-serial FNV-1a). There is one reader;
+// older files are refused.
+constexpr uint32_t kVersion = 3;
 constexpr uint64_t kHeaderBytes = 96;
 
 Status RequireLittleEndian() {
@@ -36,20 +38,6 @@ Status RequireLittleEndian() {
 
 uint64_t HashStringContent(uint64_t h, const std::string& s) {
   return HashBytes(HashCombine(h, s.size()), s.data(), s.size());
-}
-
-/// The segment checksum: PageChecksum chained over the column pages in
-/// order, then the lineage page. `base` holds the bytes at file offset
-/// `base_offset` (the mapped file for a reader, the segment's page buffer
-/// for the writer), so both sides run the same chain.
-uint64_t SegmentChecksum(const uint8_t* base, uint64_t base_offset,
-                         const SegmentInfo& seg) {
-  uint64_t sum = 0;
-  for (const auto& [offset, bytes] : seg.column_pages) {
-    sum = PageChecksum(sum, base + (offset - base_offset), bytes);
-  }
-  return PageChecksum(sum, base + (seg.lineage_page.first - base_offset),
-                      seg.lineage_page.second);
 }
 
 // ---- Flat little-endian serialization ----
@@ -250,6 +238,7 @@ Status StoredRelation::Parse() {
                                    "' has a truncated meta block");
   }
   layout_ = LayoutPtr(std::move(layout));
+  all_columns_.assign(num_columns, 1);
 
   // Directory block.
   ByteReader d{base_ + dir_offset, base_ + dir_offset + dir_bytes};
@@ -259,7 +248,6 @@ Status StoredRelation::Parse() {
     SegmentInfo& seg = segments_[s];
     seg.row_begin = static_cast<int64_t>(d.U64());
     seg.row_count = static_cast<int64_t>(d.U64());
-    seg.checksum = d.U64();
     const int64_t want_begin = static_cast<int64_t>(s) * segment_rows_;
     const int64_t want_count =
         std::min(segment_rows_, num_rows_ - want_begin);
@@ -271,10 +259,12 @@ Status StoredRelation::Parse() {
     }
     seg.zones.resize(num_columns);
     seg.column_pages.resize(num_columns);
+    seg.column_checksums.resize(num_columns);
     for (uint32_t c = 0; c < num_columns; ++c) {
       auto& page = seg.column_pages[c];
       page.first = d.U64();
       page.second = d.U64();
+      seg.column_checksums[c] = d.U64();
       ColumnZone& zone = seg.zones[c];
       const uint8_t kind = d.U8();
       const uint64_t a = d.U64();
@@ -326,6 +316,7 @@ Status StoredRelation::Parse() {
     }
     seg.lineage_page.first = d.U64();
     seg.lineage_page.second = d.U64();
+    seg.lineage_checksum = d.U64();
     const uint64_t expect_lineage =
         static_cast<uint64_t>(seg.row_count) * lineage_arity * 8;
     if (seg.lineage_page.second != expect_lineage ||
@@ -364,22 +355,52 @@ int64_t StoredRelation::OnDiskRowBytes() const {
       1, (total_page_bytes_ + num_rows_ - 1) / num_rows_);
 }
 
-Result<ColumnBatch> StoredRelation::DecodeSegment(int64_t s) const {
+int64_t StoredRelation::PageBytes(int64_t s,
+                                  const std::vector<char>& cols) const {
+  const SegmentInfo& seg = segments_[static_cast<size_t>(s)];
+  int64_t bytes = static_cast<int64_t>(seg.lineage_page.second);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (cols[c]) bytes += static_cast<int64_t>(seg.column_pages[c].second);
+  }
+  return bytes;
+}
+
+Result<ColumnBatch> StoredRelation::DecodeSegment(
+    int64_t s, const std::vector<char>& cols) const {
   if (s < 0 || s >= num_segments()) {
     return Status::OutOfRange("segment index out of range");
   }
+  if (cols.size() != all_columns_.size()) {
+    return Status::InvalidArgument(
+        "column footprint does not match the segment file's schema");
+  }
   const SegmentInfo& seg = segments_[static_cast<size_t>(s)];
 
-  // Verify before decoding: a flipped bit anywhere in the segment's pages
+  // Verify before decoding: a flipped bit in any page this decode reads
   // fails loudly instead of silently skewing an estimate.
-  if (SegmentChecksum(base_, 0, seg) != seg.checksum) {
-    return Status::Internal("segment " + std::to_string(s) + " of '" +
-                            name_ + "' failed its checksum (corrupt file?)");
+  const auto intact = [this](const std::pair<uint64_t, uint64_t>& page,
+                             uint64_t checksum) {
+    return PageChecksum(0, base_ + page.first, page.second) == checksum;
+  };
+  const auto corrupt = [&](const std::string& page) {
+    return Status::Internal("segment " + std::to_string(s) + " of '" + name_ +
+                            "' failed its " + page +
+                            " page checksum (corrupt file?)");
+  };
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (cols[c] && !intact(seg.column_pages[c], seg.column_checksums[c])) {
+      return corrupt("column '" +
+                     layout_->schema.column(static_cast<int>(c)).name + "'");
+    }
+  }
+  if (!intact(seg.lineage_page, seg.lineage_checksum)) {
+    return corrupt("lineage");
   }
 
   ColumnBatch batch(layout_);
   const int64_t rows = seg.row_count;
   for (int c = 0; c < layout_->schema.num_columns(); ++c) {
+    if (!cols[static_cast<size_t>(c)]) continue;
     ColumnData* col = batch.mutable_column(c);
     const uint8_t* page = base_ + seg.column_pages[static_cast<size_t>(c)].first;
     switch (col->type) {
@@ -521,8 +542,14 @@ Status SegmentFileWriter::FlushSegment() {
   seg.row_count = rows;
   seg.zones.resize(layout_->schema.num_columns());
   seg.column_pages.resize(layout_->schema.num_columns());
+  seg.column_checksums.resize(layout_->schema.num_columns());
 
   std::string pages;
+  const auto page_checksum = [&pages](size_t at) {
+    return PageChecksum(
+        0, reinterpret_cast<const uint8_t*>(pages.data()) + at,
+        pages.size() - at);
+  };
   std::vector<uint32_t> code_scratch;
   for (int c = 0; c < layout_->schema.num_columns(); ++c) {
     const ColumnData& col = pending_.column(c);
@@ -577,12 +604,14 @@ Status SegmentFileWriter::FlushSegment() {
     }
     seg.column_pages[c] = {next_page_offset_ + page_at,
                            pages.size() - page_at};
+    seg.column_checksums[c] = page_checksum(page_at);
   }
   const size_t lineage_at = pages.size();
   EncodePage(pending_.lineage().data(),
              rows * layout_->lineage_arity(), &pages);
   seg.lineage_page = {next_page_offset_ + lineage_at,
                       pages.size() - lineage_at};
+  seg.lineage_checksum = page_checksum(lineage_at);
   seg.lineage_range.resize(layout_->lineage_arity());
   for (int dim = 0; dim < layout_->lineage_arity(); ++dim) {
     uint64_t lo = pending_.lineage_at(0, dim), hi = lo;
@@ -593,8 +622,6 @@ Status SegmentFileWriter::FlushSegment() {
     }
     seg.lineage_range[dim] = {lo, hi};
   }
-  seg.checksum = SegmentChecksum(
-      reinterpret_cast<const uint8_t*>(pages.data()), next_page_offset_, seg);
   seg.page_bytes = static_cast<int64_t>(pages.size());
 
   GUS_RETURN_NOT_OK(WriteAll(file_, pages.data(), pages.size()));
@@ -632,10 +659,10 @@ Result<SegmentFileWriter::Summary> SegmentFileWriter::Finish() {
   for (const SegmentInfo& seg : segments_) {
     PutU64(&dir, static_cast<uint64_t>(seg.row_begin));
     PutU64(&dir, static_cast<uint64_t>(seg.row_count));
-    PutU64(&dir, seg.checksum);
     for (int c = 0; c < layout_->schema.num_columns(); ++c) {
       PutU64(&dir, seg.column_pages[c].first);
       PutU64(&dir, seg.column_pages[c].second);
+      PutU64(&dir, seg.column_checksums[c]);
       const ColumnZone& zone = seg.zones[c];
       PutU8(&dir, zone.kind);
       switch (layout_->schema.column(c).type) {
@@ -656,6 +683,7 @@ Result<SegmentFileWriter::Summary> SegmentFileWriter::Finish() {
     }
     PutU64(&dir, seg.lineage_page.first);
     PutU64(&dir, seg.lineage_page.second);
+    PutU64(&dir, seg.lineage_checksum);
     for (const auto& range : seg.lineage_range) {
       PutU64(&dir, range.first);
       PutU64(&dir, range.second);

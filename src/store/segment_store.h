@@ -15,9 +15,10 @@
 //   | meta       relation name, schema, lineage schema, global     |
 //   |            string dictionary                                 |
 //   +--------------------------------------------------------------+
-//   | directory  per segment: row range, PageChecksum chain over   |
-//   |            its pages, per-column page extents + zone map     |
-//   |            (min/max, null count), per-dim lineage id range   |
+//   | directory  per segment: row range; per column the page      |
+//   |            extent, its PageChecksum and the zone map         |
+//   |            (min/max, null count); the lineage page extent    |
+//   |            and its PageChecksum; per-dim lineage id range    |
 //   +--------------------------------------------------------------+
 //
 // Segments are fixed-size row groups (`segment_rows` rows each, short
@@ -32,11 +33,18 @@
 // in-memory ColumnarCatalog holding the same rows agree byte-for-byte —
 // the shard/serving protocols cannot tell the difference.
 //
-// Every fault verifies every byte of the segment's pages against the
-// directory checksum: kernels/page_codec.h PageChecksum (word-wide,
-// xxHash64-style lanes) chained over the column pages in order, then the
-// lineage page. This is format version 2; version-1 files (byte-serial
-// FNV-1a checksums) fail to Open as an unsupported version. FNV-1a
+// Faults are column-projected: a decode names the columns it needs (a
+// footprint in the std::vector<char> idiom of plan/vector_eval.h
+// ExprColumnFootprint) and reads, verifies and decodes exactly those
+// column pages plus the lineage page; the other columns of the batch stay
+// empty. Every page carries its own checksum, kernels/page_codec.h
+// PageChecksum (word-wide, xxHash64-style lanes, seed 0), so every byte a
+// fault reads is verified before it is decoded, and a flipped bit in any
+// page fails every decode that includes that page. "All columns" is just
+// the full footprint (all_columns()); integrity checks (gus_ingest verify)
+// and the serial engines use it. This is format version 3; version-2
+// files (one PageChecksum chain per segment) and version-1 files
+// (byte-serial FNV-1a) fail to Open as an unsupported version. FNV-1a
 // (util/hash.h HashBytes) remains the hash of the content fingerprint's
 // string chain, which the wire protocols compare.
 //
@@ -92,18 +100,18 @@ struct ColumnZone {
 struct SegmentInfo {
   int64_t row_begin = 0;
   int64_t row_count = 0;
-  /// PageChecksum chained over the segment's raw pages (columns in order,
-  /// then lineage, seed 0); verified on every decode so corruption fails
-  /// loudly.
-  uint64_t checksum = 0;
   std::vector<ColumnZone> zones;  ///< per column
   /// Per-column (file offset, byte length) of the value page.
   std::vector<std::pair<uint64_t, uint64_t>> column_pages;
+  /// Per-column PageChecksum (seed 0) of the value page; a decode verifies
+  /// the pages it reads, so corruption fails loudly.
+  std::vector<uint64_t> column_checksums;
   std::pair<uint64_t, uint64_t> lineage_page{0, 0};
+  uint64_t lineage_checksum = 0;  ///< PageChecksum (seed 0) of the lineage page
   /// Per lineage dim: inclusive [min, max] id over the segment's rows.
   std::vector<std::pair<uint64_t, uint64_t>> lineage_range;
   /// Total page bytes of this segment (columns + lineage) — the I/O cost
-  /// of faulting it.
+  /// of faulting every column.
   int64_t page_bytes = 0;
 };
 
@@ -149,9 +157,25 @@ class StoredRelation {
   /// the working-set clamp reflects what a morsel actually faults in.
   int64_t OnDiskRowBytes() const;
 
-  /// \brief Decodes segment `s` into a materialized batch (checksum
-  /// verified; Internal on mismatch).
-  Result<ColumnBatch> DecodeSegment(int64_t s) const;
+  /// The footprint flagging every column (what a full decode reads).
+  const std::vector<char>& all_columns() const { return all_columns_; }
+
+  /// \brief Page bytes a decode of segment `s` with footprint `cols` reads:
+  /// the flagged column pages plus the lineage page.
+  int64_t PageBytes(int64_t s, const std::vector<char>& cols) const;
+
+  /// \brief Decodes the columns flagged in `cols` (one flag per schema
+  /// column) and the lineage of segment `s`; unflagged columns stay empty.
+  ///
+  /// Each page read is verified against its directory checksum before it
+  /// is decoded (Internal on mismatch); pages outside the footprint are
+  /// never touched. InvalidArgument when `cols` has the wrong size.
+  Result<ColumnBatch> DecodeSegment(int64_t s,
+                                    const std::vector<char>& cols) const;
+  /// Every column: DecodeSegment(s, all_columns()).
+  Result<ColumnBatch> DecodeSegment(int64_t s) const {
+    return DecodeSegment(s, all_columns_);
+  }
 
   /// \brief Streams every page to recompute the content fingerprint
   /// (identical chain to rel/column_batch.h ContentFingerprint).
@@ -177,6 +201,7 @@ class StoredRelation {
   int64_t total_page_bytes_ = 0;
   LayoutPtr layout_;
   DictPtr dict_;
+  std::vector<char> all_columns_;
   std::vector<SegmentInfo> segments_;
 };
 

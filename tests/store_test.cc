@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -394,6 +396,180 @@ TEST(SegmentCacheTest, EverySingleBitFlipInEveryPageIsDetected) {
   }
 }
 
+/// Writes the 17-row, three-column (int64, float64, string) relation of
+/// EverySingleBitFlipInEveryPageIsDetected in segments of 7 rows.
+std::string WriteTinyThreeColumnFile(const std::string& tag) {
+  std::vector<Row> rows;
+  for (int i = 0; i < 17; ++i) {
+    rows.push_back(Row{Value(int64_t{1000 + 37 * i}), Value(0.25 * i - 1.0),
+                       Value(i % 3 == 0 ? "alpha" : "beta")});
+  }
+  Relation rel = Relation::MakeBase(
+      "tiny",
+      Schema({{"k", ValueType::kInt64},
+              {"x", ValueType::kFloat64},
+              {"s", ValueType::kString}}),
+      std::move(rows));
+  const std::string dir = FreshDir(tag);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/tiny.gseg";
+  Result<ColumnarRelation> crel = ColumnarRelation::FromRelation(rel);
+  EXPECT_TRUE(crel.ok());
+  EXPECT_TRUE(WriteRelationSegments("tiny", *crel, path, /*segment_rows=*/7)
+                  .ok());
+  return path;
+}
+
+/// The columns flagged in `cols` and the lineage of `got` equal `want`'s
+/// bit for bit; the unflagged columns of `got` are empty (never decoded).
+void ExpectProjectedBitIdentical(const ColumnBatch& want,
+                                 const ColumnBatch& got,
+                                 const std::vector<char>& cols) {
+  ASSERT_EQ(want.num_rows(), got.num_rows());
+  EXPECT_EQ(want.lineage(), got.lineage());
+  for (int c = 0; c < got.num_columns(); ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    const ColumnData& a = want.column(c);
+    const ColumnData& b = got.column(c);
+    if (!cols[static_cast<size_t>(c)]) {
+      EXPECT_EQ(0, b.size());
+      continue;
+    }
+    EXPECT_EQ(a.i64, b.i64);
+    EXPECT_EQ(a.codes, b.codes);
+    ASSERT_EQ(a.f64.size(), b.f64.size());
+    for (size_t i = 0; i < a.f64.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.f64[i]),
+                std::bit_cast<uint64_t>(b.f64[i]));
+    }
+  }
+}
+
+TEST(SegmentCacheTest, ProjectedFaultsFailIffTheyReadTheFlippedPage) {
+  // Every single-bit flip of every page: a fault whose footprint includes
+  // the page fails with kInternal; one that excludes it succeeds and
+  // decodes its columns bit-identical to the intact file. The lineage
+  // page is part of every footprint.
+  const std::string path = WriteTinyThreeColumnFile("projflip");
+  struct Page {
+    int64_t segment;
+    int column;  // -1: the lineage page
+    uint64_t offset, bytes;
+  };
+  std::vector<Page> pages;
+  std::vector<ColumnBatch> intact;
+  int num_columns = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(auto stored, StoredRelation::Open(path));
+    num_columns = static_cast<int>(stored->all_columns().size());
+    ASSERT_EQ(3, num_columns);
+    for (int64_t s = 0; s < stored->num_segments(); ++s) {
+      ASSERT_OK_AND_ASSIGN(ColumnBatch batch, stored->DecodeSegment(s));
+      intact.push_back(std::move(batch));
+      const SegmentInfo& seg = stored->segment(s);
+      for (int c = 0; c < num_columns; ++c) {
+        pages.push_back({s, c, seg.column_pages[static_cast<size_t>(c)].first,
+                         seg.column_pages[static_cast<size_t>(c)].second});
+      }
+      pages.push_back(
+          {s, -1, seg.lineage_page.first, seg.lineage_page.second});
+    }
+  }
+
+  int64_t flips = 0;
+  for (const Page& page : pages) {
+    // `only` reads just this page (plus the lineage); `others` reads every
+    // column but this one.
+    std::vector<char> only(static_cast<size_t>(num_columns), 0);
+    std::vector<char> others(static_cast<size_t>(num_columns), 1);
+    if (page.column >= 0) {
+      only[static_cast<size_t>(page.column)] = 1;
+      others[static_cast<size_t>(page.column)] = 0;
+    }
+    for (uint64_t at = page.offset; at < page.offset + page.bytes; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        SCOPED_TRACE("segment " + std::to_string(page.segment) + " column " +
+                     std::to_string(page.column) + " byte " +
+                     std::to_string(at) + " bit " + std::to_string(bit));
+        FlipBit(path, at, bit);
+        {
+          ASSERT_OK_AND_ASSIGN(auto stored, StoredRelation::Open(path));
+          EXPECT_STATUS_CODE(kInternal,
+                             stored->DecodeSegment(page.segment, only)
+                                 .status());
+          SegmentCache cache;
+          EXPECT_STATUS_CODE(kInternal,
+                             cache.Fault(*stored, page.segment, only)
+                                 .status());
+          if (page.column >= 0) {
+            ASSERT_OK_AND_ASSIGN(auto pin,
+                                 cache.Fault(*stored, page.segment, others));
+            ExpectProjectedBitIdentical(
+                intact[static_cast<size_t>(page.segment)], *pin, others);
+          }
+        }
+        FlipBit(path, at, bit);  // restore
+        ++flips;
+      }
+    }
+  }
+  EXPECT_EQ(8 * (2 * (56 + 56 + 28 + 56) + (24 + 24 + 12 + 24)), flips);
+}
+
+TEST(SegmentCacheTest, FaultsAreKeyedAndChargedByFootprint) {
+  const std::string path = WriteTinyThreeColumnFile("footprint");
+  ASSERT_OK_AND_ASSIGN(auto stored, StoredRelation::Open(path));
+  const std::vector<char> key_only = {1, 0, 0};
+  const SegmentInfo& seg = stored->segment(0);
+  EXPECT_EQ(static_cast<int64_t>(seg.column_pages[0].second +
+                                 seg.lineage_page.second),
+            stored->PageBytes(0, key_only));
+  EXPECT_EQ(seg.page_bytes, stored->PageBytes(0, stored->all_columns()));
+
+  SegmentCache cache;
+  ASSERT_OK_AND_ASSIGN(auto projected, cache.Fault(*stored, 0, key_only));
+  ExpectProjectedBitIdentical(*stored->DecodeSegment(0), *projected,
+                              key_only);
+  SegmentCacheCounters c = cache.counters();
+  EXPECT_EQ(1, c.faults);
+  EXPECT_EQ(stored->PageBytes(0, key_only), c.bytes_read);
+  EXPECT_EQ(stored->PageBytes(0, key_only), c.resident_bytes);
+
+  // The same footprint hits; another footprint is its own entry.
+  ASSERT_OK(cache.Fault(*stored, 0, key_only).status());
+  ASSERT_OK(cache.Fault(*stored, 0).status());
+  c = cache.counters();
+  EXPECT_EQ(1, c.hits);
+  EXPECT_EQ(2, c.faults);
+  EXPECT_EQ(stored->PageBytes(0, key_only) + seg.page_bytes, c.bytes_read);
+
+  // A footprint of the wrong width is refused, not read past.
+  EXPECT_STATUS_CODE(kInvalidArgument,
+                     cache.Fault(*stored, 0, std::vector<char>{1}).status());
+}
+
+TEST(SegmentStoreTest, VersionTwoFilesAreRefused) {
+  const TpchData data = GenerateTpch(SmallTpch());
+  Catalog catalog = data.MakeCatalog();
+  const std::string dir = FreshDir("v2");
+  ASSERT_OK(WriteCatalogSegments(catalog, dir, /*segment_rows=*/64));
+  const std::string path = dir + "/o.gseg";
+  {
+    // Header: u32 magic, then u32 version.
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const uint32_t version = 2;
+    f.seekp(4);
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    ASSERT_TRUE(f.good());
+  }
+  const Result<std::unique_ptr<StoredRelation>> opened =
+      StoredRelation::Open(path);
+  EXPECT_STATUS_CODE(kInvalidArgument, opened.status());
+  EXPECT_NE(std::string::npos,
+            opened.status().ToString().find("unsupported version 2"));
+}
+
 TEST(SegmentStoreTest, VersionOneFilesAreRefused) {
   const TpchData data = GenerateTpch(SmallTpch());
   Catalog catalog = data.MakeCatalog();
@@ -496,6 +672,22 @@ std::vector<ParityCase> ParityCases(int64_t lineitem_rows) {
        PlanNode::SelectNode(
            Ge(Col("l_orderkey"), Lit(int64_t{250})),
            PlanNode::Sample(SamplingSpec::BlockBernoulli(0.4, 16),
+                            PlanNode::Scan("l")))});
+  // Stacked plain Bernoullis: the upper one runs as a breaker that
+  // gathers whole rows, so the pivot must fault every column.
+  cases.push_back(
+      {"bernoulli_breaker",
+       PlanNode::SelectNode(
+           Lt(Col("l_orderkey"), Lit(int64_t{60})),
+           PlanNode::Sample(
+               SamplingSpec::Bernoulli(0.7),
+               PlanNode::Sample(SamplingSpec::Bernoulli(0.6),
+                                PlanNode::Scan("l"))))});
+  cases.push_back(
+      {"lineage_bernoulli",
+       PlanNode::SelectNode(
+           Ge(Col("l_discount"), Lit(0.02)),
+           PlanNode::Sample(SamplingSpec::LineageBernoulli("l", 0.5, 99),
                             PlanNode::Scan("l")))});
   cases.push_back(
       {"join_selective",
@@ -626,6 +818,151 @@ TEST(PruningParityTest, SelectiveQueryActuallySkipsSegments) {
   EXPECT_EQ(stats.segments_total,
             stats.segments_skipped + stats.segments_faulted);
   EXPECT_GT(stats.store_bytes_read, 0);
+}
+
+TEST(PruningParityTest, ProjectedScanReadsOnlyItsFootprintPages) {
+  // segment_scan's shape: an l_orderkey range over Bernoulli lineitem,
+  // SUM(l_extendedprice). The pivot faults l_orderkey (the predicate),
+  // l_extendedprice (the estimator's f) and the lineage — nothing else.
+  const TpchData data = GenerateTpch(SmallTpch());
+  Catalog catalog = data.MakeCatalog();
+  const std::string dir = FreshDir("projected");
+  constexpr int64_t kSegmentRows = 64;
+  ASSERT_OK(WriteCatalogSegments(catalog, dir, kSegmentRows));
+
+  PlanPtr plan = PlanNode::SelectNode(
+      And(Ge(Col("l_orderkey"), Lit(int64_t{0})),
+          Lt(Col("l_orderkey"), Lit(int64_t{20}))),
+      PlanNode::Sample(SamplingSpec::Bernoulli(0.5), PlanNode::Scan("l")));
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(plan));
+  const ExprPtr f = Col("l_extendedprice");
+  ExecOptions exec;
+  exec.engine = ExecEngine::kMorselParallel;
+  exec.num_threads = 4;
+  exec.morsel_rows = kSegmentRows;  // unit m == segment m
+
+  ColumnarCatalog mem_catalog(&catalog);
+  Rng rng_mem(11);
+  ASSERT_OK_AND_ASSIGN(
+      SboxReport baseline,
+      EstimatePlanParallel(plan, &mem_catalog, &rng_mem, f, soa.top,
+                           SboxOptions{}, ExecMode::kSampled, exec));
+
+  for (const bool prune : {false, true}) {
+    SCOPED_TRACE("prune=" + std::to_string(prune));
+    ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
+    ASSERT_OK_AND_ASSIGN(const StoredRelation* l,
+                         stored_catalog->Stored("l"));
+    const Schema& schema = l->layout_ptr()->schema;
+    std::vector<char> footprint(static_cast<size_t>(schema.num_columns()), 0);
+    for (const char* name : {"l_orderkey", "l_extendedprice"}) {
+      ASSERT_OK_AND_ASSIGN(const int c, schema.IndexOf(name));
+      footprint[static_cast<size_t>(c)] = 1;
+    }
+    ExecOptions stored_exec = exec;
+    stored_exec.prune_segments = prune;
+    ExecStats stats;
+    stored_exec.stats = &stats;
+    Rng rng(11);
+    ASSERT_OK_AND_ASSIGN(
+        SboxReport report,
+        EstimatePlanParallel(plan, stored_catalog.get(), &rng, f, soa.top,
+                             SboxOptions{}, ExecMode::kSampled, stored_exec));
+    ExpectReportsBitIdentical(baseline, report);
+
+    int64_t expect_bytes = 0;
+    if (prune) {
+      // The range covers the head of the sorted file only, so every
+      // faulted segment is a full one.
+      EXPECT_GT(stats.segments_skipped, 0);
+      expect_bytes = stats.segments_faulted * l->PageBytes(0, footprint);
+    } else {
+      EXPECT_EQ(l->num_segments(), stats.segments_faulted);
+      for (int64_t s = 0; s < l->num_segments(); ++s) {
+        expect_bytes += l->PageBytes(s, footprint);
+      }
+    }
+    EXPECT_EQ(expect_bytes, stats.store_bytes_read);
+    EXPECT_LT(stats.store_bytes_read,
+              stats.segments_faulted * l->segment(0).page_bytes);
+
+    // Pruned units are not work: the workers' counts plus the skipped
+    // units (== skipped segments, units being segment-aligned) make up
+    // every morsel.
+    const int64_t executed = std::accumulate(
+        stats.worker_morsels.begin(), stats.worker_morsels.end(), int64_t{0});
+    EXPECT_EQ(stats.morsels, executed + stats.segments_skipped);
+    EXPECT_EQ(stats.morsels, stats.sinks_created + stats.sinks_recycled);
+  }
+}
+
+/// Materializes every consumed row. Declares no column footprint, so the
+/// engine must hand it every column.
+class CollectSink final : public MergeableBatchSink {
+ public:
+  explicit CollectSink(const BatchLayout& layout)
+      : rel_(std::make_shared<BatchLayout>(layout)) {}
+
+  Status Consume(const ColumnBatch& batch) override {
+    rel_.AppendBatch(batch);
+    return Status::OK();
+  }
+  Status MergeFrom(BatchSink* other) override {
+    rel_.AppendBatch(static_cast<CollectSink*>(other)->rel_.data());
+    return Status::OK();
+  }
+  const ColumnarRelation& rel() const { return rel_; }
+
+ private:
+  ColumnarRelation rel_;
+};
+
+TEST(PruningParityTest, MaterializedStoredResultsMatchInMemoryBitForBit) {
+  const TpchData data = GenerateTpch(SmallTpch());
+  Catalog catalog = data.MakeCatalog();
+  const int64_t lineitem_rows = catalog.at("l").num_rows();
+  const std::string dir = FreshDir("materialize");
+  constexpr int64_t kSegmentRows = 64;
+  ASSERT_OK(WriteCatalogSegments(catalog, dir, kSegmentRows));
+  const MorselSinkFactory make_sink =
+      [](const BatchLayout& layout)
+      -> Result<std::unique_ptr<MergeableBatchSink>> {
+    return std::unique_ptr<MergeableBatchSink>(new CollectSink(layout));
+  };
+
+  for (const ParityCase& pc : ParityCases(lineitem_rows)) {
+    SCOPED_TRACE(pc.label);
+    ExecOptions exec;
+    exec.engine = ExecEngine::kMorselParallel;
+    exec.num_threads = 4;
+    exec.morsel_rows = kSegmentRows;
+
+    ColumnarCatalog mem_catalog(&catalog);
+    Rng rng_mem(5);
+    std::unique_ptr<MergeableBatchSink> mem_out;
+    ASSERT_OK(ExecutePlanToSink(pc.plan, &mem_catalog, &rng_mem,
+                                ExecMode::kSampled, exec, make_sink,
+                                &mem_out));
+    const ColumnBatch& want = static_cast<CollectSink*>(mem_out.get())->rel().data();
+    ASSERT_GT(want.num_rows(), 0);
+
+    ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
+    Rng rng(5);
+    std::unique_ptr<MergeableBatchSink> stored_out;
+    ASSERT_OK(ExecutePlanToSink(pc.plan, stored_catalog.get(), &rng,
+                                ExecMode::kSampled, exec, make_sink,
+                                &stored_out));
+    const ColumnBatch& got =
+        static_cast<CollectSink*>(stored_out.get())->rel().data();
+    // Every column value (floats by bit pattern, strings by content) and
+    // the lineage matrix.
+    ASSERT_EQ(want.num_rows(), got.num_rows());
+    for (int c = 0; c < got.num_columns(); ++c) {
+      ASSERT_EQ(want.num_rows(), got.column(c).size()) << "column " << c;
+    }
+    EXPECT_EQ(ContentFingerprint(pc.label, want),
+              ContentFingerprint(pc.label, got));
+  }
 }
 
 }  // namespace
