@@ -21,7 +21,8 @@
 //       backoff (a restarted daemon heals transparently), and
 //       --allow-partial degrades honestly when a shard stays lost.
 //       --verify recomputes every estimate with the one-shot in-process
-//       kSharded path and fails unless the served bits are identical.
+//       ShardedSboxEstimate and fails unless the served bits are
+//       identical.
 //       --cache serves repeated (query, seed) pairs from merged
 //       estimator state without touching the fleet.
 //
@@ -216,7 +217,7 @@ int RunCoordinator(const CoordinatorArgs& args) {
   }
   std::printf("%d sessions OK over %zu daemon(s)%s\n", args.sessions,
               args.fleet.size(),
-              args.verify ? " (bit-identical to one-shot kSharded)" : "");
+              args.verify ? " (bit-identical to ShardedSboxEstimate)" : "");
   return 0;
 }
 

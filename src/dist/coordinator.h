@@ -183,7 +183,7 @@ Result<FaultTolerantResult> GatherSboxEstimatePartial(
 /// pre-Finish estimator state into FaultTolerantResult::merged_sbox_state
 /// (the view-cache payload). Every supervisor folding through this one
 /// policy is what makes a served gather bit-identical to the one-shot
-/// kSharded gather by construction.
+/// FaultTolerantShardedSboxEstimate gather by construction.
 Result<FaultTolerantResult> FoldShardOutcomes(
     const std::vector<Result<std::string>>& outcomes,
     const ShardAttemptCounters& counters, bool allow_partial,

@@ -266,11 +266,12 @@ class StreamingSboxEstimator final : public MergeableBatchSink {
 ///
 /// On kRowAtATime and kColumnar one estimator consumes the serial stream,
 /// identical to ExecutePlan + SampleView::FromRelation + SboxEstimate. On
-/// kMorselParallel and kSharded each partition streams into its own
-/// estimator and they merge in unit order, so the report is
-/// bit-deterministic in (plan, catalog, seed, exec options) and identical
-/// across num_threads and num_shards values (see plan/parallel_executor.h
-/// for the sampling-design caveats vs the serial engines). exec.stats,
+/// kMorselParallel each partition streams into its own estimator and they
+/// merge in unit order, so the report is bit-deterministic in (plan,
+/// catalog, seed, exec options), identical across num_threads values at
+/// an explicit morsel_rows, and equal to ShardedSboxEstimate's at every
+/// shard count (see plan/parallel_executor.h for the sampling-design
+/// caveats vs the serial engines). exec.stats,
 /// when set, receives the Finish time in estimate_ms.
 Result<SboxReport> EstimatePlanParallel(const PlanPtr& plan,
                                         ColumnarCatalog* catalog, Rng* rng,

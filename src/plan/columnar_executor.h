@@ -278,10 +278,10 @@ Result<ColumnarRelation> ExecutePlanColumnar(
 
 /// \brief A batch sink whose state can absorb another instance's.
 ///
-/// The parallel engines give every morsel (and every shard) its own sink
-/// and fold them in ascending unit order; MergeFrom must treat `other` as
-/// the state of the partitions immediately *after* this sink's (order
-/// matters for floating-point sums and row order, and the executor
+/// The morsel engine gives every morsel its own sink (as do shard workers,
+/// src/dist/) and folds them in ascending unit order; MergeFrom must treat
+/// `other` as the state of the partitions immediately *after* this sink's
+/// (order matters for floating-point sums and row order, and the executor
 /// guarantees it).
 class MergeableBatchSink : public BatchSink {
  public:
@@ -323,11 +323,6 @@ using MorselSinkFactory =
 ///                   itself never checks; ColumnarRelation::FromRelation)
 ///   kColumnar       the serial batch pipeline pumped into one sink
 ///   kMorselParallel ParallelExecutePlanToSink (plan/parallel_executor.h)
-///   kSharded        the options.num_shards contiguous unit ranges of the
-///                   morsel split, run concurrently (shard 0 on `rng`, the
-///                   rest on copies of its initial state) and folded in
-///                   shard order — bit-identical to kMorselParallel at the
-///                   same (seed, morsel_rows), for every shard count
 ///   kServed         InvalidArgument (a sqlish-only cache front end)
 ///
 /// This is the only place the engine is chosen.

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "dist/shard.h"
 #include "plan/columnar_executor.h"
 #include "plan/exec_stats.h"
 #include "plan/parallel_executor.h"
@@ -185,7 +184,6 @@ ColumnarRelation ConcatPartsToRelation(const LayoutPtr& layout,
     for (int64_t p = 0; p < num_parts; ++p) copy_part(p);
   } else {
     pool->ParallelForChunked(num_parts, /*chunk=*/1, workers,
-                             ThreadPool::Placement::kDynamic,
                              [&](int, int64_t b, int64_t e) {
                                for (int64_t p = b; p < e; ++p) copy_part(p);
                              });
@@ -281,45 +279,6 @@ Status PumpIntoOneSink(BatchSource* source, const MorselSinkFactory& make_sink,
   return Status::OK();
 }
 
-/// \brief kSharded: the num_shards contiguous unit ranges of one morsel
-/// split, executed concurrently and folded in shard order.
-///
-/// Every shard starts from the identical stream position; shard 0 runs on
-/// the caller's generator so `rng` advances exactly as one full morsel run
-/// would (serial prepare + the stream-base draw), the rest on copies.
-Status ExecuteShardsToSink(const PlanPtr& plan, ColumnarCatalog* catalog,
-                           Rng* rng, ExecMode mode, const ExecOptions& options,
-                           const MorselSinkFactory& make_sink,
-                           std::unique_ptr<MergeableBatchSink>* out) {
-  ExecOptions normalized = ShardedExecOptions(options);
-  // Concurrent shards must not share the caller's ExecStats.
-  normalized.stats = nullptr;
-  GUS_RETURN_NOT_OK(WarmCatalogForPlan(plan, catalog));
-  GUS_ASSIGN_OR_RETURN(
-      ShardPlan sp,
-      PlanShards(plan, catalog, mode, normalized, options.num_shards));
-  const int num_shards = static_cast<int>(sp.shards.size());
-  std::vector<Rng> shard_rngs(static_cast<size_t>(num_shards), *rng);
-  std::vector<std::unique_ptr<MergeableBatchSink>> sinks(
-      static_cast<size_t>(num_shards));
-  std::vector<Status> status(static_cast<size_t>(num_shards));
-  {
-    PoolLease pool(std::min(num_shards, ThreadPool::HardwareThreads()));
-    pool->ParallelFor(num_shards, [&](int64_t k) {
-      const ShardSpec& spec = sp.shards[static_cast<size_t>(k)];
-      status[k] = ParallelExecuteUnitRangeToSink(
-          plan, catalog, k == 0 ? rng : &shard_rngs[k], mode, normalized,
-          spec.unit_begin, spec.unit_end, make_sink, &sinks[k]);
-    });
-  }
-  for (int k = 0; k < num_shards; ++k) {
-    GUS_RETURN_NOT_OK(status[k]);
-    if (k > 0) GUS_RETURN_NOT_OK(sinks[0]->MergeFrom(sinks[k].get()));
-  }
-  *out = std::move(sinks[0]);
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ExecutePlanToSink(const PlanPtr& plan, ColumnarCatalog* catalog,
@@ -352,9 +311,6 @@ Status ExecutePlanToSink(const PlanPtr& plan, ColumnarCatalog* catalog,
     case ExecEngine::kMorselParallel:
       return ParallelExecutePlanToSink(plan, catalog, rng, mode, options,
                                        make_sink, out);
-    case ExecEngine::kSharded:
-      return ExecuteShardsToSink(plan, catalog, rng, mode, options, make_sink,
-                                 out);
     case ExecEngine::kServed:
       return Status::InvalidArgument(
           "ExecEngine::kServed serves cached estimates (sqlish "

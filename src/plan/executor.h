@@ -55,45 +55,28 @@ enum class ExecMode { kSampled, kExact };
 /// never depend on the worker count — identical across num_threads
 /// values.
 ///
-/// kSharded carves the same global morsel sequence into
-/// ExecOptions::num_shards contiguous shard ranges, executes each shard
-/// shared-nothing style (every shard re-runs the serial subtrees from the
-/// same seed), and merges the per-shard states in shard order (src/dist/).
-/// Because the unit split, per-unit Rng streams, and merge order are all
-/// shard-count independent, its result is bit-identical across num_shards
-/// values AND to kMorselParallel at the same (seed, morsel_rows); an
-/// unset morsel_rows is pinned to kDefaultMorselRows rather than
-/// auto-sized, so the split never depends on num_threads either.
+/// Shared-nothing execution is not an engine: a shard is a contiguous
+/// range of kMorselParallel's global unit sequence, run by the worker
+/// entry point RunShardSbox (src/dist/) and folded in shard order by
+/// ShardedSboxEstimate or the serving layer (src/serve/). Because the unit
+/// split, per-unit Rng streams, and merge order are all shard-count
+/// independent, every shard count reproduces kMorselParallel's bits at the
+/// same (seed, morsel_rows).
 ///
 /// kServed is the estimator-only serving engine (sqlish RunApproxQuery):
-/// the front door's kSharded run fronted by the approximate-view cache
-/// (serve/view_cache.h) — a repeated (query, catalog content, seed,
-/// morsel geometry) answers from cached merged builder state, executing
-/// nothing, with the identical result bits. The front door rejects it.
+/// kMorselParallel at pinned morsel geometry (ShardedExecOptions) fronted
+/// by the approximate-view cache (serve/view_cache.h) — a repeated
+/// (query, catalog content, seed, morsel geometry) answers from cached
+/// merged builder state, executing nothing, with the identical result
+/// bits. The front door rejects it.
 enum class ExecEngine {
   kRowAtATime,
   kColumnar,
   kMorselParallel,
-  kSharded,
   kServed,
 };
 
 struct ExecStats;  // plan/exec_stats.h
-
-/// \brief How kMorselParallel hands morsels to workers.
-///
-/// Pure scheduling: every morsel still runs with its index-keyed Rng
-/// stream and folds in ascending index order, so placement NEVER changes
-/// any row, estimate, or digest — only which worker's cache (and NUMA
-/// node, on multi-socket hosts) first touches each pivot slice.
-enum class MorselPlacement {
-  /// One global claim cursor; best load balance under skew.
-  kDynamic,
-  /// Contiguous per-worker morsel ranges (worker w gets the w-th slice of
-  /// the morsel sequence) with ring stealing once a range drains.
-  /// First-touch friendly: adjacent pivot slices stay on one worker.
-  kRangeBound,
-};
 
 /// Default rows per columnar pipeline batch.
 inline constexpr int64_t kDefaultBatchRows = 2048;
@@ -183,18 +166,6 @@ struct ExecOptions {
   /// it (the pivot layout and plan shape it also reads are fixed for a
   /// given query).
   int64_t morsel_rows = 0;
-  /// \brief Logical shards for kSharded (ignored by the other engines).
-  ///
-  /// Shards are contiguous ranges of the global morsel sequence; the
-  /// result is bit-identical for every value >= 1 (see src/dist/shard.h),
-  /// so this knob trades per-shard work against shard count without
-  /// touching the statistics.
-  int num_shards = 1;
-  /// \brief Morsel-to-worker placement for kMorselParallel.
-  ///
-  /// A pure scheduling knob (see MorselPlacement): results are identical
-  /// for every value, pinned by the placement-parity tests.
-  MorselPlacement placement = MorselPlacement::kDynamic;
   /// \brief Optional execution profile output (not owned; may be null).
   ///
   /// When set, the front door Reset()s it and the morsel engine fills it
@@ -233,9 +204,6 @@ struct ExecOptions {
     }
     if (num_threads < 1) {
       return Status::InvalidArgument("ExecOptions::num_threads must be >= 1");
-    }
-    if (num_shards < 1) {
-      return Status::InvalidArgument("ExecOptions::num_shards must be >= 1");
     }
     GUS_RETURN_NOT_OK(retry.Validate());
     return Status::OK();

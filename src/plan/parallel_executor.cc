@@ -1521,13 +1521,9 @@ Status ParallelExecuteUnitRangeToSink(
     }
   };
 
-  const ThreadPool::Placement placement =
-      options.placement == MorselPlacement::kRangeBound
-          ? ThreadPool::Placement::kRangeBound
-          : ThreadPool::Placement::kDynamic;
   PoolLease lease(workers);
   const StatsClock::time_point t_par = StatsClock::now();
-  lease->ParallelForChunked(range_units, /*chunk=*/1, workers, placement,
+  lease->ParallelForChunked(range_units, /*chunk=*/1, workers,
                             [&](int worker, int64_t b, int64_t e) {
                               for (int64_t i = b; i < e; ++i) {
                                 run_morsel(worker, unit_begin + i);

@@ -68,10 +68,10 @@ Result<std::vector<int64_t>> LineageBernoulliKeepIndices(
 // The partition-mergeable forms behind every fixed-size / block sampler in
 // plan execution: the engine draws ONE sampler seed from its Rng stream,
 // and the keep-set is then a pure function of (seed, input shape) built
-// from per-row keys (kernels/sampling_kernels.h). All four engines — row,
-// columnar, morsel-parallel, sharded — therefore draw bit-identical
-// fixed-size samples from identical seeds, and every morsel or shard can
-// filter its row range against the same global keep-set.
+// from per-row keys (kernels/sampling_kernels.h). The row, columnar and
+// morsel-parallel engines and every shard worker therefore draw
+// bit-identical fixed-size samples from identical seeds, and every morsel
+// or shard can filter its row range against the same global keep-set.
 
 /// \brief Exact uniform WOR(n) as the n smallest (WorPriority(seed, row),
 /// row) pairs; kept indexes ascending.

@@ -217,10 +217,8 @@ Result<std::string> WorkerDaemon::HandleExec(const ExecShardRequest& req) {
         " of " + std::to_string(req.num_shards));
   }
   ExecOptions exec;
-  exec.engine = ExecEngine::kSharded;
   exec.num_threads = req.num_threads < 1 ? 1 : req.num_threads;
   exec.morsel_rows = req.morsel_rows;
-  exec.num_shards = req.num_shards;
   const ExecOptions normalized = ShardedExecOptions(exec);
 
   PlanPtr plan = query.plan;

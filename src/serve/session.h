@@ -18,11 +18,11 @@
 // gather. Retrying and folding are not implemented here: each shard runs
 // the shard supervisor of dist/coordinator.h — RunShardAttempts with one
 // DaemonChannel::Call per attempt, then FoldShardOutcomes — the *same*
-// attempt loop and fold as the in-process kSharded scatter, which is what
-// makes a served answer, its retry accounting, and its failure codes
-// identical to the one-shot path by construction. Execute is thread-safe;
-// N client threads driving one coordinator is the intended shape (the
-// concurrency tests do exactly that).
+// attempt loop and fold as the in-process FaultTolerantShardedSboxEstimate
+// scatter, which is what makes a served answer, its retry accounting, and
+// its failure codes identical to the one-shot path by construction.
+// Execute is thread-safe; N client threads driving one coordinator is the
+// intended shape (the concurrency tests do exactly that).
 //
 // Admission control sits at the front door: when a controller is
 // attached, its current scale travels in every shard request and the

@@ -1,7 +1,7 @@
 // The approximate-view cache: merged estimator state as a servable value.
 //
 // The paper's estimator state is mergeable and tiny relative to base
-// data; once a query's shard bundles have been gathered and merged, the
+// data; once a query's partial states have been merged, the
 // merged state IS the answer's input — Finish() over it reproduces the
 // report bit for bit (est/streaming.h round-trip guarantees). So the
 // cache stores exactly that: one wire v2.1 bundle of merged state per
@@ -18,9 +18,11 @@
 //     state is structurally unreachable (and evictable in bulk via
 //     InvalidateCatalog when a coordinator learns data changed).
 //   * seed / morsel_rows / scale_bits — the remaining inputs the result
-//     bits depend on. num_shards is deliberately absent: results are
-//     shard-count invariant (dist/shard.h), so gathers at different
-//     fleet sizes share one entry.
+//     bits depend on. num_shards and num_threads are deliberately
+//     absent: at a pinned morsel_rows results are shard- and
+//     thread-count invariant (dist/shard.h), so gathers at different
+//     fleet sizes — and sqlish kServed misses, which run kMorselParallel
+//     in process — share one entry per query.
 //
 // Bundles are checksummed containers (est/wire.h); a poisoned entry
 // fails ParseWireBundle loudly at hit time instead of serving numbers.

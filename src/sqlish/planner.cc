@@ -443,16 +443,17 @@ Result<std::unique_ptr<ItemFanoutSink>> ExecuteToFanout(
       static_cast<ItemFanoutSink*>(sink.release()));
 }
 
-/// \brief Served path (ExecEngine::kServed): kSharded fronted by the
-/// process-wide approximate-view cache.
+/// \brief Served path (ExecEngine::kServed): kMorselParallel at pinned
+/// morsel geometry (ShardedExecOptions) fronted by the process-wide
+/// approximate-view cache.
 ///
 /// The cache entry is the merged ItemFanoutSink's SerializeState bundle.
 /// Builder serialization round-trips bit-exactly, so a hit reproduces the
 /// miss's ApproxResult to the last bit while executing nothing —
 /// ExecStats' cache counters prove which path ran. Keyed on (sql +
 /// estimator options, catalog content, seed, normalized morsel geometry);
-/// num_shards is absent because kSharded results are shard-count
-/// invariant.
+/// the thread count is absent because a pinned morsel split makes the
+/// result thread-count invariant.
 Result<ApproxResult> RunServed(const PlannedQuery& planned,
                                const SoaResult& soa, ColumnarCatalog* columnar,
                                const std::string& sql, uint64_t seed,
@@ -492,10 +493,10 @@ Result<ApproxResult> RunServed(const PlannedQuery& planned,
                              *cached, planned.items.size(),
                              !planned.group_by.empty()));
   } else {
-    ExecOptions sharded = exec;
-    sharded.engine = ExecEngine::kSharded;
+    ExecOptions pinned = ShardedExecOptions(exec);
+    pinned.engine = ExecEngine::kMorselParallel;
     GUS_ASSIGN_OR_RETURN(fanout, ExecuteToFanout(planned, soa, columnar, seed,
-                                                 sharded));
+                                                 pinned));
     if (exec.stats != nullptr) ++exec.stats->cache_misses;
     cache->Insert(key, fanout->SerializeState());
   }

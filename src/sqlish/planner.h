@@ -7,10 +7,10 @@
 // complete "approximate query" experience of the paper's introduction.
 //
 // Execution is one sink factory over the front door (ExecutePlanToSink,
-// plan/columnar_executor.h): the (lineage, f) stream of every engine,
-// kSharded included, fans out into per-item builders and one estimate tail
-// finishes them. kServed is a view-cache lookup in front of that same
-// kSharded call.
+// plan/columnar_executor.h): the (lineage, f) stream of every engine fans
+// out into per-item builders and one estimate tail finishes them. kServed
+// is a view-cache lookup in front of a kMorselParallel call at pinned
+// morsel geometry.
 
 #ifndef GUS_SQLISH_PLANNER_H_
 #define GUS_SQLISH_PLANNER_H_
@@ -79,26 +79,24 @@ Result<ApproxResult> RunApproxQuery(const std::string& sql,
 
 /// \brief Full-options overload: exec.engine picks the front-door engine
 /// (ExecutePlanToSink). ExecEngine::kMorselParallel runs the plan
-/// partition-parallel with exec.num_threads workers; ExecEngine::kSharded
-/// runs exec.num_shards contiguous ranges of the same morsel sequence
-/// concurrently and folds them in shard order. exec.stats, when set,
-/// receives the engine profile (none for kSharded, whose shards run
-/// without one) and, on every engine, the estimate time
+/// partition-parallel with exec.num_threads workers. exec.stats, when set,
+/// receives the engine profile and, on every engine, the estimate time
 /// (ExecStats::estimate_ms).
 ///
 /// Ungrouped queries fan the batch stream into per-item SampleViewBuilders
 /// per partition; grouped queries into per-item GroupedSumBuilders; both
 /// merge in morsel order, so the result is bit-deterministic in (sql,
-/// catalog, seed, exec) and identical across num_threads values — and,
-/// for kSharded, across num_shards values and to kMorselParallel at the
-/// same morsel_rows (see src/dist/shard.h).
+/// catalog, seed, exec) and, with an explicit morsel_rows, identical
+/// across num_threads values.
 ///
-/// ExecEngine::kServed is kSharded fronted by the process-wide
-/// approximate-view cache (serve/view_cache.h): a repeated (sql +
-/// estimator options, catalog content, seed, morsel geometry) serves the
-/// bit-identical result from the cached merged builder state (a wire
-/// bundle, docs/WIRE_FORMAT.md) without executing anything —
-/// ExecOptions::stats' cache counters record which path answered.
+/// ExecEngine::kServed is kMorselParallel at pinned morsel geometry
+/// (ShardedExecOptions: an unset morsel_rows becomes kDefaultMorselRows)
+/// fronted by the process-wide approximate-view cache
+/// (serve/view_cache.h): a repeated (sql + estimator options, catalog
+/// content, seed, morsel geometry) serves the bit-identical result from
+/// the cached merged builder state (a wire bundle, docs/WIRE_FORMAT.md)
+/// without executing anything — ExecOptions::stats' cache counters record
+/// which path answered.
 Result<ApproxResult> RunApproxQuery(const std::string& sql,
                                     const Catalog& catalog, uint64_t seed,
                                     const SboxOptions& options,

@@ -3,7 +3,7 @@
 // Opens every `.gseg` file in a directory and serves all four execution
 // engines unchanged:
 //
-//   * kColumnar / kMorselParallel / kSharded take a ColumnarCatalog* —
+//   * kColumnar / kMorselParallel take a ColumnarCatalog* —
 //     scans stream segment-at-a-time through Stored() + the pinned cache
 //     (and the SegmentPruner skips segments first; store/pruner.h), while
 //     pipeline breakers that need a whole side resident (join builds)

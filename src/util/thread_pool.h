@@ -1,11 +1,10 @@
 // A persistent thread pool with a deterministic-friendly ParallelFor.
 //
 // Deliberately work-stealing-free at the result level: tasks are claimed
-// from atomic cursors in index order (globally, or per contiguous worker
-// range with bounded ring stealing). The pool never imposes an ordering on
-// *results* — callers that need determinism (the morsel-parallel executor)
-// key every task's randomness and merge order on the task index, which is
-// scheduling-independent by construction.
+// from one atomic cursor in index order. The pool never imposes an ordering
+// on *results* — callers that need determinism (the morsel-parallel
+// executor) key every task's randomness and merge order on the task index,
+// which is scheduling-independent by construction.
 //
 // Scheduling shape, tuned against the E3c flat-scaling profile:
 //   * The calling thread participates as worker 0, so a pool configured
@@ -26,7 +25,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -38,24 +36,6 @@ namespace gus {
 /// batches. The caller of ParallelFor participates as worker 0.
 class ThreadPool {
  public:
-  /// \brief How a batch's index space is handed to workers.
-  ///
-  /// Placement never changes *what* runs — every index is claimed exactly
-  /// once either way — only which worker's cache (and on multi-socket
-  /// hosts, which NUMA node) first touches each slice. Results are
-  /// identical by construction.
-  enum class Placement {
-    /// One global atomic cursor; indexes are claimed in increasing order
-    /// by whichever worker gets there first. Best load balance.
-    kDynamic,
-    /// Each worker owns a contiguous range of the index space (worker w
-    /// gets the w-th n/workers slice) and drains it front to back, then
-    /// steals from other ranges in ring order. First-touch-friendly:
-    /// consecutive indexes land on the same worker, so per-index data
-    /// stays in one cache / NUMA node.
-    kRangeBound,
-  };
-
   /// Chunked worker-aware task body: runs indexes [begin, end) on behalf
   /// of `worker` (0 = the ParallelFor caller).
   using RangeFn = std::function<void(int worker, int64_t begin, int64_t end)>;
@@ -95,10 +75,10 @@ class ThreadPool {
   ///
   /// Indexes are claimed `chunk` at a time (one atomic fetch-add per
   /// chunk, no locks) by at most `max_workers` workers (clamped to
-  /// [1, num_threads()]), placed per `placement`. fn receives the claiming
-  /// worker's id and the half-open index range.
+  /// [1, num_threads()]) from one global cursor, in increasing order. fn
+  /// receives the claiming worker's id and the half-open index range.
   void ParallelForChunked(int64_t n, int64_t chunk, int max_workers,
-                          Placement placement, const RangeFn& fn);
+                          const RangeFn& fn);
 
   /// \brief Worker threads ever spawned by this pool (monotone).
   ///
@@ -130,14 +110,8 @@ class ThreadPool {
   void Spawn(int count);  // requires mu_ held, no active batch
   void WorkerLoop(int worker_id, uint64_t seen_epoch);
   void RunClaimLoop(int worker, const RangeFn& fn, int64_t limit,
-                    int64_t chunk, Placement placement, int workers);
+                    int64_t chunk);
   void FinishIndexes(int64_t count);
-
-  static int64_t RangeBegin(int64_t n, int workers, int w) {
-    const int64_t base = n / workers;
-    const int64_t rem = n % workers;
-    return w * base + (w < rem ? w : rem);
-  }
 
   std::mutex batch_mu_;  // serializes ParallelFor batches
   std::mutex mu_;
@@ -147,12 +121,10 @@ class ThreadPool {
   int64_t limit_ = 0;                // batch size
   int64_t chunk_ = 1;                // indexes claimed per fetch-add
   int active_workers_ = 0;           // workers participating in the batch
-  Placement placement_ = Placement::kDynamic;
   int workers_in_batch_ = 0;  // spawned workers inside a claim loop
   uint64_t epoch_ = 0;        // bumped per batch so workers don't re-enter
   bool shutdown_ = false;
-  std::atomic<int64_t> cursor_{0};     // kDynamic: next unclaimed index
-  std::unique_ptr<std::atomic<int64_t>[]> range_next_;  // kRangeBound
+  std::atomic<int64_t> cursor_{0};     // next unclaimed index
   std::atomic<int64_t> remaining_{0};  // indexes not yet completed
   std::atomic<int> configured_{1};
   std::atomic<uint64_t> spawned_{0};

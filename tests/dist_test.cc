@@ -27,7 +27,6 @@
 #include "plan/parallel_executor.h"
 #include "plan/soa_transform.h"
 #include "plan/exec_stats.h"
-#include "sqlish/planner.h"
 #include "test_util.h"
 #include "util/fault_inject.h"
 
@@ -340,8 +339,8 @@ TEST(DistTest, SamplerStatePayloadRoundTripsAndValidates) {
 }
 
 TEST(DistTest, ExactModeMatchesSerialAndMorsel) {
-  // In exact mode no sampler consumes randomness, so the sharded engine
-  // sees exactly the serial engines' rows. The *estimate* is bit-identical
+  // In exact mode no sampler consumes randomness, so the shard workers
+  // see exactly the serial engines' rows. The *estimate* is bit-identical
   // to the morsel engine (same per-unit summation segments) and agrees
   // with the serial streaming path up to floating-point summation
   // association — the serial engine folds one long accumulator while the
@@ -498,90 +497,6 @@ TEST(DistTest, TruncatedAndCorruptShardFilesFailLoudly) {
     io.write(&byte, 1);
   }
   EXPECT_STATUS_CODE(kUnavailable, files.Receive(0).status());
-}
-
-TEST(DistTest, SqlishShardedBitIdenticalAcrossShardCounts) {
-  // Every shard count must reproduce the morsel engine at the same
-  // (seed, morsel_rows): shards are contiguous ranges of its unit sequence.
-  TpchConfig config;
-  config.num_orders = 250;
-  config.num_customers = 30;
-  config.num_parts = 25;
-  TpchData data = GenerateTpch(config);
-  Catalog catalog = data.MakeCatalog();
-  for (const char* sql :
-       {"SELECT SUM(l_discount * o_totalprice), COUNT(*) "
-        "FROM l TABLESAMPLE (40 PERCENT), o "
-        "WHERE l_orderkey = o_orderkey",
-        "SELECT SUM(l_quantity) "
-        "FROM l TABLESAMPLE (50 PERCENT), o "
-        "WHERE l_orderkey = o_orderkey GROUP BY o_custkey",
-        "SELECT SUM(l_discount * o_totalprice), COUNT(*) "
-        "FROM l TABLESAMPLE (40 PERCENT), o TABLESAMPLE (150 ROWS) "
-        "WHERE l_orderkey = o_orderkey"}) {
-    SCOPED_TRACE(sql);
-    ExecOptions exec;
-    exec.engine = ExecEngine::kMorselParallel;
-    exec.morsel_rows = 64;
-    ASSERT_OK_AND_ASSIGN(sqlish::ApproxResult morsel,
-                         sqlish::RunApproxQuery(sql, catalog, 53, {}, exec));
-    EXPECT_GT(morsel.values.size(), 0u);
-    exec.engine = ExecEngine::kSharded;
-    for (const int num_shards : {1, 3, 8}) {
-      SCOPED_TRACE(num_shards);
-      exec.num_shards = num_shards;
-      ASSERT_OK_AND_ASSIGN(
-          sqlish::ApproxResult sharded,
-          sqlish::RunApproxQuery(sql, catalog, 53, {}, exec));
-      ASSERT_EQ(morsel.values.size(), sharded.values.size());
-      EXPECT_EQ(morsel.sample_rows, sharded.sample_rows);
-      for (size_t i = 0; i < morsel.values.size(); ++i) {
-        EXPECT_EQ(morsel.values[i].label, sharded.values[i].label);
-        EXPECT_EQ(morsel.values[i].group, sharded.values[i].group);
-        EXPECT_EQ(morsel.values[i].value, sharded.values[i].value);
-        EXPECT_EQ(morsel.values[i].stddev, sharded.values[i].stddev);
-        EXPECT_EQ(morsel.values[i].lo, sharded.values[i].lo);
-        EXPECT_EQ(morsel.values[i].hi, sharded.values[i].hi);
-      }
-    }
-  }
-}
-
-TEST(DistTest, RelationEngineShardCountInvariance) {
-  // ExecutePlan's kSharded engine: identical relations across shard counts
-  // and vs the morsel engine at the same (seed, morsel_rows).
-  Catalog catalog = MakeTinyJoin(100, 3).MakeCatalog();
-  PlanPtr plan = PlanNode::Join(
-      PlanNode::Sample(SamplingSpec::Bernoulli(0.6), PlanNode::Scan("F")),
-      PlanNode::Scan("D"), "fk", "pk");
-  ExecOptions morsel;
-  morsel.engine = ExecEngine::kMorselParallel;
-  morsel.morsel_rows = 32;
-  Rng morsel_rng(59);
-  ASSERT_OK_AND_ASSIGN(
-      Relation expected,
-      ExecutePlan(plan, catalog, &morsel_rng, ExecMode::kSampled, morsel));
-  for (const int num_shards : {1, 3, 8}) {
-    SCOPED_TRACE(num_shards);
-    ExecOptions exec;
-    exec.engine = ExecEngine::kSharded;
-    exec.morsel_rows = 32;
-    exec.num_shards = num_shards;
-    Rng rng(59);
-    ASSERT_OK_AND_ASSIGN(
-        Relation sharded,
-        ExecutePlan(plan, catalog, &rng, ExecMode::kSampled, exec));
-    ASSERT_EQ(expected.num_rows(), sharded.num_rows());
-    for (int64_t i = 0; i < expected.num_rows(); ++i) {
-      EXPECT_EQ(expected.lineage(i), sharded.lineage(i)) << "row " << i;
-      const Row& a = expected.row(i);
-      const Row& b = sharded.row(i);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t c = 0; c < a.size(); ++c) {
-        EXPECT_TRUE(a[c] == b[c]) << "row " << i << " col " << c;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1194,18 +1109,6 @@ TEST(DistTest, ReadFrameDistinguishesCleanEofFromTruncation) {
     EXPECT_NE(std::string::npos, r.status().ToString().find("truncated"))
         << r.status().ToString();
   }
-}
-
-TEST(DistTest, ValidatesExecOptions) {
-  Query1Fixture fx;
-  ExecOptions bad;
-  bad.num_shards = 0;
-  bad.engine = ExecEngine::kSharded;
-  Rng rng(1);
-  EXPECT_STATUS_CODE(
-      kInvalidArgument,
-      ExecutePlan(fx.q1.plan, fx.catalog, &rng, ExecMode::kSampled, bad)
-          .status());
 }
 
 }  // namespace

@@ -402,21 +402,25 @@ TEST(EngineParityTest, SqlishMorselThreadParity) {
   }
 }
 
-// -- Sharded engine: shard-count parity --------------------------------------
+// -- Shard-count parity ------------------------------------------------------
 //
-// ExecEngine::kSharded partitions the same global morsel sequence into
-// shards, so its results are bit-identical across num_shards AND to
-// kMorselParallel at the same (seed, morsel_rows). Against the *serial*
-// engines it draws a different (equally valid) sample — except in exact
-// mode and for Rng-free (lineage-seeded) sampling, where the rows
-// coincide and only floating-point summation association can differ.
+// A shard is a contiguous range of the morsel engine's global unit
+// sequence (RunShardSbox, src/dist/), so ShardedSboxEstimate is
+// bit-identical across shard counts AND to kMorselParallel at the same
+// (seed, morsel_rows). Against the *serial* engines the morsel engine
+// draws a different (equally valid) sample — except in exact mode and for
+// Rng-free (lineage-seeded) sampling, where the rows coincide and only
+// floating-point summation association can differ.
 
-ExecOptions ShardedWith(int num_shards) {
-  ExecOptions options;
-  options.engine = ExecEngine::kSharded;
-  options.num_shards = num_shards;
-  options.morsel_rows = 32;
-  return options;
+void ExpectReportsBitIdentical(const SboxReport& x, const SboxReport& y) {
+  EXPECT_EQ(x.estimate, y.estimate);
+  EXPECT_EQ(x.variance, y.variance);
+  EXPECT_EQ(x.stddev, y.stddev);
+  EXPECT_EQ(x.interval.lo, y.interval.lo);
+  EXPECT_EQ(x.interval.hi, y.interval.hi);
+  EXPECT_EQ(x.sample_rows, y.sample_rows);
+  EXPECT_EQ(x.variance_rows, y.variance_rows);
+  EXPECT_EQ(x.y_hat, y.y_hat);
 }
 
 TEST(EngineParityTest, ShardedShardCountParityBothModes) {
@@ -431,27 +435,31 @@ TEST(EngineParityTest, ShardedShardCountParityBothModes) {
   params.orders_n = 100;
   params.orders_population = 250;
   Workload q1 = MakeQuery1(params);
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(q1.plan));
+  ColumnarCatalog columnar(&catalog);
   for (const ExecMode mode : {ExecMode::kExact, ExecMode::kSampled}) {
     SCOPED_TRACE(mode == ExecMode::kExact ? "exact" : "sampled");
     Rng morsel_rng(43);
-    auto morsel =
-        ExecutePlan(q1.plan, catalog, &morsel_rng, mode, MorselWithThreads(4));
-    ASSERT_TRUE(morsel.ok()) << morsel.status().ToString();
+    ASSERT_OK_AND_ASSIGN(
+        SboxReport morsel,
+        EstimatePlanParallel(q1.plan, &columnar, &morsel_rng, q1.aggregate,
+                             soa.top, {}, mode, MorselWithThreads(4)));
     for (const int num_shards : {1, 3, 8}) {
       SCOPED_TRACE(num_shards);
-      Rng rng(43);
-      auto sharded =
-          ExecutePlan(q1.plan, catalog, &rng, mode, ShardedWith(num_shards));
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      ExpectIdentical(*morsel, *sharded);
+      ASSERT_OK_AND_ASSIGN(
+          SboxReport sharded,
+          ShardedSboxEstimate(q1.plan, catalog, 43, mode,
+                              MorselWithThreads(2), num_shards, q1.aggregate,
+                              soa.top, {}));
+      ExpectReportsBitIdentical(morsel, sharded);
     }
   }
 }
 
-TEST(EngineParityTest, ShardedExactModeMatchesSerialRows) {
-  // Exact mode consumes no randomness, so the sharded relation must equal
+TEST(EngineParityTest, MorselExactModeMatchesSerialRows) {
+  // Exact mode consumes no randomness, so the morsel relation must equal
   // the serial engines' relation row for row (same rows, same order) for
-  // every shard count.
+  // every thread count.
   Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();
   PlanPtr plan = PlanNode::Join(
       PlanNode::Sample(SamplingSpec::Bernoulli(0.5), PlanNode::Scan("F")),
@@ -461,19 +469,19 @@ TEST(EngineParityTest, ShardedExactModeMatchesSerialRows) {
       Relation serial,
       ExecutePlan(plan, catalog, &serial_rng, ExecMode::kExact,
                   ExecEngine::kColumnar));
-  for (const int num_shards : {1, 3, 8}) {
-    SCOPED_TRACE(num_shards);
+  for (const int num_threads : {1, 3, 8}) {
+    SCOPED_TRACE(num_threads);
     Rng rng(47);
-    ASSERT_OK_AND_ASSIGN(Relation sharded,
+    ASSERT_OK_AND_ASSIGN(Relation morsel,
                          ExecutePlan(plan, catalog, &rng, ExecMode::kExact,
-                                     ShardedWith(num_shards)));
-    ExpectIdentical(serial, sharded);
+                                     MorselWithThreads(num_threads)));
+    ExpectIdentical(serial, morsel);
   }
 }
 
-TEST(EngineParityTest, ShardedLineageBernoulliMatchesSerialRows) {
-  // Lineage-seeded sampling is Rng-free: the sharded draw IS the serial
-  // draw, in sampled mode, for every shard count.
+TEST(EngineParityTest, MorselLineageBernoulliMatchesSerialRows) {
+  // Lineage-seeded sampling is Rng-free: the morsel draw IS the serial
+  // draw, in sampled mode, for every thread count.
   Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();
   PlanPtr plan = PlanNode::Join(
       PlanNode::Sample(SamplingSpec::LineageBernoulli("F", 0.4, 77),
@@ -485,17 +493,17 @@ TEST(EngineParityTest, ShardedLineageBernoulliMatchesSerialRows) {
       ExecutePlan(plan, catalog, &serial_rng, ExecMode::kSampled,
                   ExecEngine::kColumnar));
   EXPECT_GT(serial.num_rows(), 0);
-  for (const int num_shards : {1, 3, 8}) {
-    SCOPED_TRACE(num_shards);
+  for (const int num_threads : {1, 3, 8}) {
+    SCOPED_TRACE(num_threads);
     Rng rng(48);
-    ASSERT_OK_AND_ASSIGN(Relation sharded,
+    ASSERT_OK_AND_ASSIGN(Relation morsel,
                          ExecutePlan(plan, catalog, &rng, ExecMode::kSampled,
-                                     ShardedWith(num_shards)));
-    ExpectIdentical(serial, sharded);
+                                     MorselWithThreads(num_threads)));
+    ExpectIdentical(serial, morsel);
   }
 }
 
-TEST(EngineParityTest, SqlishShardedParity) {
+TEST(EngineParityTest, SqlishMorselMatchesSerialWithinCi) {
   TpchConfig config;
   config.num_orders = 250;
   config.num_customers = 30;
@@ -506,37 +514,37 @@ TEST(EngineParityTest, SqlishShardedParity) {
       "SELECT SUM(l_discount * o_totalprice), COUNT(*) "
       "FROM l TABLESAMPLE (40 PERCENT), o "
       "WHERE l_orderkey = o_orderkey";
-  // The serial engine draws a different sample; the sharded estimate must
+  // The serial engine draws a different sample; the morsel estimate must
   // still land within CI distance of it (same design, same data) while
-  // staying bit-identical across shard counts.
+  // staying bit-identical across thread counts.
   ASSERT_OK_AND_ASSIGN(sqlish::ApproxResult serial,
                        sqlish::RunApproxQuery(sql, catalog, 61));
   sqlish::ApproxResult first;
-  for (const int num_shards : {1, 3, 8}) {
-    SCOPED_TRACE(num_shards);
+  for (const int num_threads : {1, 3, 8}) {
+    SCOPED_TRACE(num_threads);
     ASSERT_OK_AND_ASSIGN(
-        sqlish::ApproxResult sharded,
+        sqlish::ApproxResult morsel,
         sqlish::RunApproxQuery(sql, catalog, 61, {},
-                               ShardedWith(num_shards)));
-    ASSERT_EQ(serial.values.size(), sharded.values.size());
+                               MorselWithThreads(num_threads)));
+    ASSERT_EQ(serial.values.size(), morsel.values.size());
     for (size_t i = 0; i < serial.values.size(); ++i) {
       // Within 6 stddev of the serial estimate (different draw, same
       // design — the diff is statistical, not a bug signature).
       const double slack =
-          6.0 * std::max(serial.values[i].stddev, sharded.values[i].stddev);
-      EXPECT_NEAR(serial.values[i].value, sharded.values[i].value, slack);
+          6.0 * std::max(serial.values[i].stddev, morsel.values[i].stddev);
+      EXPECT_NEAR(serial.values[i].value, morsel.values[i].value, slack);
     }
-    if (num_shards == 1) {
-      first = sharded;
+    if (num_threads == 1) {
+      first = morsel;
       continue;
     }
-    ASSERT_EQ(first.values.size(), sharded.values.size());
-    EXPECT_EQ(first.sample_rows, sharded.sample_rows);
+    ASSERT_EQ(first.values.size(), morsel.values.size());
+    EXPECT_EQ(first.sample_rows, morsel.sample_rows);
     for (size_t i = 0; i < first.values.size(); ++i) {
-      EXPECT_EQ(first.values[i].value, sharded.values[i].value);
-      EXPECT_EQ(first.values[i].stddev, sharded.values[i].stddev);
-      EXPECT_EQ(first.values[i].lo, sharded.values[i].lo);
-      EXPECT_EQ(first.values[i].hi, sharded.values[i].hi);
+      EXPECT_EQ(first.values[i].value, morsel.values[i].value);
+      EXPECT_EQ(first.values[i].stddev, morsel.values[i].stddev);
+      EXPECT_EQ(first.values[i].lo, morsel.values[i].lo);
+      EXPECT_EQ(first.values[i].hi, morsel.values[i].hi);
     }
   }
 }
@@ -545,21 +553,10 @@ TEST(EngineParityTest, SqlishShardedParity) {
 // -- serial row engine, across thread AND shard counts ----------------------
 //
 // These plans' Rng consumers are all seed-decoupled (fixed-size / block /
-// lineage-seeded), so the morsel and sharded engines draw the *identical*
-// sample as the serial row engine — and with the TinyJoin dyadic values
-// the estimator sums are exact, so estimates and CIs compare bit for bit
-// at threads {1,2,4,8} x shards {1,2,4}.
-
-void ExpectReportsBitIdentical(const SboxReport& x, const SboxReport& y) {
-  EXPECT_EQ(x.estimate, y.estimate);
-  EXPECT_EQ(x.variance, y.variance);
-  EXPECT_EQ(x.stddev, y.stddev);
-  EXPECT_EQ(x.interval.lo, y.interval.lo);
-  EXPECT_EQ(x.interval.hi, y.interval.hi);
-  EXPECT_EQ(x.sample_rows, y.sample_rows);
-  EXPECT_EQ(x.variance_rows, y.variance_rows);
-  EXPECT_EQ(x.y_hat, y.y_hat);
-}
+// lineage-seeded), so the morsel engine and the shard workers draw the
+// *identical* sample as the serial row engine — and with the TinyJoin
+// dyadic values the estimator sums are exact, so estimates and CIs compare
+// bit for bit at threads {1,2,4,8} and ShardedSboxEstimate shards {1,2,4}.
 
 /// Canonical multiset encoding (union plans permute rows by morsel).
 std::vector<std::string> CanonicalRelationRows(const Relation& rel) {
@@ -576,9 +573,9 @@ std::vector<std::string> CanonicalRelationRows(const Relation& rel) {
 }
 
 /// \brief The acceptance matrix for one plan: serial-row reference report
-/// and rows vs kMorselParallel (threads 1/2/4/8) and kSharded (shards
-/// 1/2/4), everything bit-identical (rows as a multiset when
-/// `rows_as_multiset` — union output interleaves by morsel).
+/// and rows vs kMorselParallel (threads 1/2/4/8), and report vs
+/// ShardedSboxEstimate (shards 1/2/4), everything bit-identical (rows as a
+/// multiset when `rows_as_multiset` — union output interleaves by morsel).
 void ExpectFullEngineMatrixParity(const PlanPtr& plan, const Catalog& catalog,
                                   uint64_t seed, const ExprPtr& f,
                                   bool rows_as_multiset) {
@@ -626,19 +623,7 @@ void ExpectFullEngineMatrixParity(const PlanPtr& plan, const Catalog& catalog,
   for (const int shards : {1, 2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     ExecOptions sharded = exec;
-    sharded.engine = ExecEngine::kSharded;
     sharded.num_threads = 2;
-    sharded.num_shards = shards;
-    Rng rel_rng(seed);
-    ASSERT_OK_AND_ASSIGN(Relation sharded_rel,
-                         ExecutePlan(plan, catalog, &rel_rng,
-                                     ExecMode::kSampled, sharded));
-    if (rows_as_multiset) {
-      EXPECT_EQ(CanonicalRelationRows(row_result),
-                CanonicalRelationRows(sharded_rel));
-    } else {
-      ExpectIdentical(row_result, sharded_rel);
-    }
     ASSERT_OK_AND_ASSIGN(
         SboxReport sharded_report,
         ShardedSboxEstimate(plan, catalog, seed, ExecMode::kSampled, sharded,
@@ -679,9 +664,9 @@ TEST(EngineParityTest, UnionFullMatrixBitParity) {
 
 TEST(EngineParityTest, FrontDoorSboxSinkParityAcrossEngines) {
   // One SBox sink factory through ExecutePlanToSink on every engine of a
-  // WOR-pivot plan: the serial engines agree with each other, the
-  // partitioned engines with each other across threads and shards, and
-  // every engine sees the same sample.
+  // WOR-pivot plan: the serial engines agree with each other, the morsel
+  // engine with itself across threads, every engine sees the same sample,
+  // and kServed (a sqlish-only cache front end) is rejected.
   Catalog catalog = MakeTinyJoin(40, 3).MakeCatalog();  // F: 120 rows
   PlanPtr plan = PlanNode::Join(
       PlanNode::Sample(SamplingSpec::WithoutReplacement(50, 120),
@@ -728,14 +713,6 @@ TEST(EngineParityTest, FrontDoorSboxSinkParityAcrossEngines) {
     SCOPED_TRACE("threads=4");
     ASSERT_OK_AND_ASSIGN(SboxReport threaded, run(exec));
     ExpectReportsBitIdentical(morsel, threaded);
-  }
-  exec.engine = ExecEngine::kSharded;
-  exec.num_threads = 2;
-  for (const int shards : {1, 3}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    exec.num_shards = shards;
-    ASSERT_OK_AND_ASSIGN(SboxReport sharded, run(exec));
-    ExpectReportsBitIdentical(morsel, sharded);
   }
 
   exec.engine = ExecEngine::kServed;

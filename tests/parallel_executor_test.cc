@@ -476,7 +476,7 @@ TEST(ParallelExecutorTest, UnionOfBernoulliBranchesIsThreadInvariant) {
   }
 }
 
-// -- Execution profiling, sink arenas, and placement ------------------------
+// -- Execution profiling and sink arenas ------------------------------------
 
 TEST(ParallelExecutorTest, ExecStatsProfileAccountsForTheRun) {
   Catalog catalog = MakeTinyJoin(80, 4).MakeCatalog();  // F: 320 rows
@@ -607,43 +607,6 @@ TEST(ParallelExecutorTest, EstimateTimeIsRecordedAndChangesNothing) {
                                        soa.top, options));
   EXPECT_GT(shard_stats.estimate_ms, 0.0);
   expect_same(shard_off.report, shard_on.report);
-}
-
-TEST(ParallelExecutorTest, PlacementKnobDoesNotChangeResults) {
-  // kDynamic vs kRangeBound only changes which worker runs which morsel;
-  // per-morsel streams and the ascending fold make results placement-blind.
-  Catalog catalog = MakeTinyJoin(80, 4).MakeCatalog();
-  PlanPtr plan = BernoulliJoinPlan();
-  ExecOptions dynamic = MorselOptions(4);
-  dynamic.placement = MorselPlacement::kDynamic;
-  ExecOptions bound = MorselOptions(4);
-  bound.placement = MorselPlacement::kRangeBound;
-
-  Rng rng1(303), rng2(303);
-  ASSERT_OK_AND_ASSIGN(
-      Relation a,
-      ExecutePlan(plan, catalog, &rng1, ExecMode::kSampled, dynamic));
-  ASSERT_OK_AND_ASSIGN(
-      Relation b,
-      ExecutePlan(plan, catalog, &rng2, ExecMode::kSampled, bound));
-  EXPECT_GT(a.num_rows(), 0);
-  ExpectIdenticalRelations(a, b);
-
-  ColumnarCatalog columnar(&catalog);
-  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(plan));
-  Rng rng3(303), rng4(303);
-  ASSERT_OK_AND_ASSIGN(
-      SboxReport ra,
-      EstimatePlanParallel(plan, &columnar, &rng3, Col("v"), soa.top, {},
-                           ExecMode::kSampled, dynamic));
-  ASSERT_OK_AND_ASSIGN(
-      SboxReport rb,
-      EstimatePlanParallel(plan, &columnar, &rng4, Col("v"), soa.top, {},
-                           ExecMode::kSampled, bound));
-  EXPECT_EQ(ra.estimate, rb.estimate);
-  EXPECT_EQ(ra.variance, rb.variance);
-  EXPECT_EQ(ra.interval.lo, rb.interval.lo);
-  EXPECT_EQ(ra.interval.hi, rb.interval.hi);
 }
 
 TEST(ParallelExecutorTest, MergedReservoirEstimateIsMonteCarloUnbiased) {

@@ -3,11 +3,12 @@
 // over a fixed fleet, and the approximate-view cache.
 //
 // The load-bearing claim throughout: a served answer is bit-identical to
-// the one-shot in-process kSharded gather — at every (sessions × daemons
-// × threads) matrix point, under injected shard faults, across a daemon
-// kill-and-restart, and when replayed from cached merged estimator
-// state. Degradation (allow_partial with a daemon that stays dead) is
-// the only sanctioned deviation, and it must announce itself.
+// the one-shot in-process ShardedSboxEstimate gather — at every
+// (sessions × daemons × threads) matrix point, under injected shard
+// faults, across a daemon kill-and-restart, and when replayed from cached
+// merged estimator state. Degradation (allow_partial with a daemon that
+// stays dead) is the only sanctioned deviation, and it must announce
+// itself.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -827,16 +828,16 @@ TEST(ServeTest, SqlishServedEngineCachesBitIdenticalResults) {
     // A unique seed keeps this test's process-wide cache entries its own.
     const uint64_t seed = 987654321 + std::string(sql).size();
 
-    ExecOptions sharded;
-    sharded.engine = ExecEngine::kSharded;
-    sharded.num_shards = 4;
-    sharded.morsel_rows = 64;
+    ExecOptions morsel;
+    morsel.engine = ExecEngine::kMorselParallel;
+    morsel.num_threads = 4;
+    morsel.morsel_rows = 64;
     ASSERT_OK_AND_ASSIGN(
         sqlish::ApproxResult want,
-        sqlish::RunApproxQuery(sql, fx.catalog, seed, {}, sharded));
+        sqlish::RunApproxQuery(sql, fx.catalog, seed, {}, morsel));
 
     ExecStats stats;
-    ExecOptions served = sharded;
+    ExecOptions served = morsel;
     served.engine = ExecEngine::kServed;
     served.stats = &stats;
     ASSERT_OK_AND_ASSIGN(

@@ -25,9 +25,11 @@
 #include <vector>
 
 #include "data/tpch_gen.h"
+#include "dist/coordinator.h"
 #include "kernels/key_hash.h"
 #include "kernels/join_hash_table.h"
 #include "kernels/simd/simd_dispatch.h"
+#include "plan/soa_transform.h"
 #include "rel/column_batch.h"
 #include "sqlish/planner.h"
 #include "test_util.h"
@@ -437,12 +439,14 @@ void ExpectValuesBitIdentical(const sqlish::ApproxResult& x,
   }
 }
 
-/// Runs `sql` under every (tier x engine x thread/shard count) cell. The
-/// SIMD contract is per cell: each engine configuration must produce
-/// bit-identical estimates no matter which tier computes it. (The row and
-/// morsel engines may legitimately draw different PERCENT Bernoulli
-/// samples — that is Rng-partitioning, not tier, behavior — so cells are
-/// compared across tiers, not across engines.)
+/// Runs `sql` under every (tier x engine x thread count) cell, then its
+/// plan through the shard wire path (ShardedSboxEstimate) at 1 and 3
+/// shards per tier. The SIMD contract is per cell: each engine
+/// configuration must produce bit-identical estimates no matter which tier
+/// computes it. (The row and morsel engines may legitimately draw
+/// different PERCENT Bernoulli samples — that is Rng-partitioning, not
+/// tier, behavior — so cells are compared across tiers, not across
+/// engines.)
 void ExpectTierMatrixParity(const std::string& sql, const Catalog& catalog,
                             uint64_t seed) {
   struct EngineCell {
@@ -461,12 +465,6 @@ void ExpectTierMatrixParity(const std::string& sql, const Catalog& catalog,
       exec.num_threads = threads;
       exec.morsel_rows = 64;
       cells.push_back({"threads=" + std::to_string(threads), exec});
-    }
-    for (const int shards : {1, 3}) {
-      exec.engine = ExecEngine::kSharded;
-      exec.num_threads = 2;
-      exec.num_shards = shards;
-      cells.push_back({"shards=" + std::to_string(shards), exec});
     }
   }
   for (const EngineCell& cell : cells) {
@@ -489,6 +487,48 @@ void ExpectTierMatrixParity(const std::string& sql, const Catalog& catalog,
           sqlish::RunApproxQuery(sql, catalog, seed, SboxOptions{},
                                  cell.exec));
       ExpectValuesBitIdentical(reference, got);
+    }
+  }
+
+  // The shard cells estimate the first select item's SUM over the planned
+  // plan: GROUP BY is a sink-side fold, so a grouped query's plan yields
+  // the ungrouped total — still every kernel of the plan, per shard, plus
+  // the bundle encode, decode and merge.
+  ASSERT_OK_AND_ASSIGN(sqlish::ParsedQuery parsed, sqlish::ParseQuery(sql));
+  ASSERT_OK_AND_ASSIGN(sqlish::PlannedQuery planned,
+                       sqlish::PlanQuery(parsed, catalog));
+  ASSERT_OK_AND_ASSIGN(SoaResult soa, SoaTransform(planned.plan));
+  const ExprPtr& f = planned.items.front().expr;
+  ExecOptions exec;
+  exec.num_threads = 2;
+  exec.morsel_rows = 64;
+  const auto sharded = [&](int shards) {
+    return ShardedSboxEstimate(planned.plan, catalog, seed,
+                               ExecMode::kSampled, exec, shards, f, soa.top,
+                               SboxOptions{});
+  };
+  for (const int shards : {1, 3}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SboxReport reference;
+    {
+      ScopedTier force(SimdTier::kScalar);
+      ASSERT_TRUE(force.ok());
+      ASSERT_OK_AND_ASSIGN(reference, sharded(shards));
+    }
+    EXPECT_GT(reference.sample_rows, 0);
+    for (SimdTier tier : {SimdTier::kAvx2, SimdTier::kAvx512}) {
+      SCOPED_TRACE(simd::SimdTierName(tier));
+      ScopedTier force(tier);
+      if (!force.ok()) continue;
+      ASSERT_OK_AND_ASSIGN(SboxReport got, sharded(shards));
+      EXPECT_EQ(reference.estimate, got.estimate);
+      EXPECT_EQ(reference.variance, got.variance);
+      EXPECT_EQ(reference.stddev, got.stddev);
+      EXPECT_EQ(reference.interval.lo, got.interval.lo);
+      EXPECT_EQ(reference.interval.hi, got.interval.hi);
+      EXPECT_EQ(reference.sample_rows, got.sample_rows);
+      EXPECT_EQ(reference.variance_rows, got.variance_rows);
+      EXPECT_EQ(reference.y_hat, got.y_hat);
     }
   }
 }

@@ -179,12 +179,10 @@ TEST_F(PlannerTest, UnknownSelectColumnIsAKeyErrorOnEveryEngine) {
   const char* kSql = "SELECT SUM(nosuch) FROM l TABLESAMPLE (40 PERCENT)";
   for (const ExecEngine engine :
        {ExecEngine::kRowAtATime, ExecEngine::kColumnar,
-        ExecEngine::kMorselParallel, ExecEngine::kSharded,
-        ExecEngine::kServed}) {
+        ExecEngine::kMorselParallel, ExecEngine::kServed}) {
     SCOPED_TRACE(static_cast<int>(engine));
     ExecOptions exec;
     exec.engine = engine;
-    exec.num_shards = 3;
     EXPECT_STATUS_CODE(kKeyError,
                        RunApproxQuery(kSql, catalog_, 7, {}, exec).status());
   }
@@ -336,13 +334,12 @@ TEST_F(PlannerTest, EveryFrontDoorEngineTimesTheEstimate) {
       "WHERE l_orderkey = o_orderkey";
   for (const ExecEngine engine :
        {ExecEngine::kRowAtATime, ExecEngine::kColumnar,
-        ExecEngine::kMorselParallel, ExecEngine::kSharded}) {
+        ExecEngine::kMorselParallel}) {
     SCOPED_TRACE(static_cast<int>(engine));
     ExecStats stats;
     ExecOptions exec;
     exec.engine = engine;
     exec.num_threads = 2;
-    exec.num_shards = 3;
     exec.stats = &stats;
     ASSERT_OK(RunApproxQuery(kSql, catalog_, 5, {}, exec).status());
     EXPECT_GT(stats.estimate_ms, 0.0);

@@ -768,14 +768,11 @@ TEST(PruningParityTest, PrunedRunsAreBitIdenticalAcrossEnginesAndShards) {
       for (const int shards : {1, 2}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         ASSERT_OK_AND_ASSIGN(auto stored_catalog, SegmentCatalog::Open(dir));
-        ExecOptions shard_exec = exec;
-        shard_exec.engine = ExecEngine::kSharded;
         ASSERT_OK_AND_ASSIGN(
             SboxReport report,
             ShardedSboxEstimateOverCatalog(pc.plan, stored_catalog.get(),
-                                           seed, ExecMode::kSampled,
-                                           shard_exec, shards, f, soa.top,
-                                           sbox));
+                                           seed, ExecMode::kSampled, exec,
+                                           shards, f, soa.top, sbox));
         // The sharded gather runs the same units with the same streams;
         // against the morsel baseline only the estimate-bearing fields
         // are comparable (and must match exactly).

@@ -368,26 +368,23 @@ TEST(ThreadPoolTest, ReusedAcrossBatchesWithoutRespawn) {
 }
 
 TEST(ThreadPoolTest, ChunkedCoversEveryIndexOnce) {
-  for (const ThreadPool::Placement placement :
-       {ThreadPool::Placement::kDynamic, ThreadPool::Placement::kRangeBound}) {
-    for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{64},
-                            int64_t{1000}}) {
-      for (const int64_t chunk : {int64_t{1}, int64_t{3}, int64_t{256}}) {
-        ThreadPool pool(4);
-        std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
-        for (auto& h : hits) h.store(0);
-        pool.ParallelForChunked(n, chunk, /*max_workers=*/4, placement,
-                                [&](int worker, int64_t b, int64_t e) {
-                                  EXPECT_GE(worker, 0);
-                                  EXPECT_LT(worker, 4);
-                                  for (int64_t i = b; i < e; ++i) {
-                                    hits[static_cast<size_t>(i)]++;
-                                  }
-                                });
-        for (int64_t i = 0; i < n; ++i) {
-          EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1)
-              << "index " << i << " n " << n << " chunk " << chunk;
-        }
+  for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{64},
+                          int64_t{1000}}) {
+    for (const int64_t chunk : {int64_t{1}, int64_t{3}, int64_t{256}}) {
+      ThreadPool pool(4);
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(n));
+      for (auto& h : hits) h.store(0);
+      pool.ParallelForChunked(n, chunk, /*max_workers=*/4,
+                              [&](int worker, int64_t b, int64_t e) {
+                                EXPECT_GE(worker, 0);
+                                EXPECT_LT(worker, 4);
+                                for (int64_t i = b; i < e; ++i) {
+                                  hits[static_cast<size_t>(i)]++;
+                                }
+                              });
+      for (int64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1)
+            << "index " << i << " n " << n << " chunk " << chunk;
       }
     }
   }
